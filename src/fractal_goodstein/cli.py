@@ -33,6 +33,9 @@ from .successors import PlusHierarchy
 
 __all__ = ["main"]
 
+# a run without --max-steps stops here: no command line call runs unbounded
+DEFAULT_MAX_STEPS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse reserves status 2 for usage errors; remap to our convention
@@ -49,7 +52,7 @@ def _build() -> _Parser:
     r = sub.add_parser("run", help="drive a Goodstein process and emit a trace")
     r.add_argument("--hierarchy", required=True, help="classic | ouroboros | diagonal | finite-for: m | plus-chain: b1,b2 | finite: b1,b2")
     r.add_argument("--seed", required=True, type=int)
-    r.add_argument("--max-steps", type=int, default=None)
+    r.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="step cap (default %(default)s)")
     r.add_argument("--bit-budget", type=int, default=None, help="bit width cap for any single value")
     r.add_argument("--certify", choices=["theta", "psi", "both", "none"], default="both")
     r.add_argument("--out", default=None, help="trace file; stdout when omitted")
@@ -92,7 +95,7 @@ def _parse_index(text: str):
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
-        budget = BitBudget(args.bit_budget) if args.bit_budget else None
+        budget = None if args.bit_budget is None else BitBudget(args.bit_budget)
         result = run(
             args.hierarchy,
             args.seed,

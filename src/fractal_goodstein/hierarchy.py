@@ -19,12 +19,6 @@ __all__ = [
     "Hierarchy",
     "FiniteHierarchy",
     "LazyHierarchy",
-    "validate",
-    "s_next",
-    "lower_base",
-    "upper_base",
-    "is_critical",
-    "restrict",
 ]
 
 DEFAULT_HORIZON = 512
@@ -223,28 +217,3 @@ class LazyHierarchy(Hierarchy):
 
 def _coerce(B: Hierarchy | Iterable[int]) -> Hierarchy:
     return B if isinstance(B, Hierarchy) else FiniteHierarchy(B)
-
-
-def validate(candidate: Iterable[int]) -> FiniteHierarchy:
-    """Check hierarchy laws on a finite candidate, reporting the offender."""
-    return FiniteHierarchy(candidate)
-
-
-def s_next(B: Hierarchy | Iterable[int], n: ExtNat) -> ExtNat:
-    return _coerce(B).s_next(n)
-
-
-def lower_base(B: Hierarchy | Iterable[int], n: int) -> int:
-    return _coerce(B).lower_base(n)
-
-
-def upper_base(B: Hierarchy | Iterable[int], n: int) -> int:
-    return _coerce(B).upper_base(n)
-
-
-def is_critical(B: Hierarchy | Iterable[int], n: int) -> bool:
-    return _coerce(B).is_critical(n)
-
-
-def restrict(B: Hierarchy | Iterable[int], n: int) -> FiniteHierarchy:
-    return _coerce(B).restrict(n)

@@ -3,9 +3,14 @@
 A run steps a seed through upgrade-then-decrement over a dynamical
 hierarchy, optionally attaching two kinds of termination evidence to each
 step: a strictly decreasing theta certificate, and a psi witness chain whose
-integers realize fundamental-sequence entries.  Traces serialize to JSONL
-and can be re-checked from scratch: the verifier rebuilds the hierarchy,
-recomputes every claim, and rejects any deviation.
+integers realize fundamental-sequence entries.  The step loop exists once,
+in ``_Steps``: ``run`` collects it, and ``verify_trace`` replays it.
+
+Traces serialize to JSONL.  The verifier rebuilds the hierarchy from the
+header, replays the loop under the recorded caps alongside the trace, and
+rejects any row or ending that differs from the replay.  From the claimed
+terms alone it also checks that the theta chain strictly descends and that
+the psi chain links and stays at or below the value.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .hierarchy import DEFAULT_HORIZON, FiniteHierarchy, HorizonError
 from .interpretations import PsiInterpretation, ThetaInterpretation, majorize_witness
@@ -47,7 +52,10 @@ __all__ = [
 TRACE_FORMAT = "goodstein-trace"
 TRACE_VERSION = 1
 
-_CERT_ERRORS = (BudgetExceededError, HorizonError, OrdinalError, ValueError)
+_DEATHS = (BudgetExceededError, HorizonError)
+_CERT_ERRORS = _DEATHS + (OrdinalError, ValueError)
+# what checking a row can raise: a malformed row, or a replay that fails
+_ROW_ERRORS = _CERT_ERRORS + (AttributeError, KeyError, TypeError)
 
 
 def _int_str(v: int) -> str:
@@ -175,6 +183,90 @@ def write_trace(result: RunResult, out: IO[str]) -> None:
         out.write(line + "\n")
 
 
+class _Steps:
+    """The step loop: read the value in its stage, then upgrade it and subtract one.
+
+    Iterating yields one StepRecord per step, with the evidence ``certify``
+    asks for.  Evidence that fails is recorded as a stop and never ends the
+    value sequence.  Once the iteration is exhausted, ``outcome``,
+    ``detail``, ``theta_stop`` and ``psi_stop`` say how the run ended.
+    """
+
+    def __init__(
+        self, h: DynamicalHierarchy, seed: int, certify: str, max_steps: int | None
+    ) -> None:
+        if certify not in ("theta", "psi", "both", "none"):
+            raise ValueError(f"unknown certificate mode: {certify!r}")
+        if seed < 0:
+            raise ValueError("seeds are nonnegative")
+        if max_steps is not None and (not isinstance(max_steps, int) or max_steps < 0):
+            raise ValueError("step caps are nonnegative integers")
+        self.h = h
+        self.seed = seed
+        self.certify = certify
+        self.max_steps = max_steps
+        self.outcome: str | None = None
+        self.detail: str | None = None
+        self.theta_stop: dict | None = None
+        self.psi_stop: dict | None = None
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        h = self.h
+        want_theta = self.certify in ("theta", "both")
+        want_psi = self.certify in ("psi", "both")
+        value = psi_n = self.seed
+        prev_u: CntTerm | None = None
+        i = 0
+        while True:
+            try:
+                stage = h.stage(i)
+                bound = h.step_bound(i)
+                if bound is not None and value > bound:
+                    raise ValueError(f"value exceeds the stage-{i} bound {bound}")
+                # finding the base column can force materialization past the caps
+                base = stage.upper_base(value)
+            except _DEATHS as e:
+                self.outcome, self.detail = "budget_exceeded", str(e)
+                return
+            rec = StepRecord(i, value, base)
+            if want_theta and self.theta_stop is None:
+                try:
+                    rec.theta = ThetaInterpretation(stage).value(value)
+                except _CERT_ERRORS as e:
+                    self.theta_stop = {"step": i, "reason": str(e)}
+            if want_psi and self.psi_stop is None:
+                try:
+                    if psi_n > value:
+                        raise OrdinalError("witness overtook the value")
+                    u = PsiInterpretation(stage).value(psi_n)
+                    if prev_u is not None and fund_seq_cnt(prev_u, i) != u:
+                        raise OrdinalError("witness chain lost its linkage")
+                    rec.psi_n, rec.psi_u = psi_n, u
+                    prev_u = u
+                except _CERT_ERRORS as e:
+                    self.psi_stop = {"step": i, "reason": str(e)}
+            yield rec
+            if value == 0:
+                self.outcome = "terminated"
+                return
+            if self.max_steps is not None and i >= self.max_steps:
+                self.outcome = "step_cap"
+                return
+            if want_psi and self.psi_stop is None:
+                try:
+                    psi_n = majorize_witness(
+                        stage, h.plus_index(i), psi_n, i + 1, h.budget, h.plus_object(i)
+                    )
+                except _CERT_ERRORS as e:
+                    self.psi_stop = {"step": i, "reason": str(e)}
+            try:
+                value = h.upgrade_step(i, value) - 1
+            except _DEATHS as e:
+                self.outcome, self.detail = "budget_exceeded", str(e)
+                return
+            i += 1
+
+
 def run(
     hierarchy: DynamicalHierarchy | str,
     seed: int,
@@ -190,10 +282,6 @@ def run(
     "none".  Evidence generation that fails mid-run is recorded as a stop
     with its reason and never aborts the value sequence itself.
     """
-    if certify not in ("theta", "psi", "both", "none"):
-        raise ValueError(f"unknown certificate mode: {certify!r}")
-    if seed < 0:
-        raise ValueError("seeds are nonnegative")
     if isinstance(hierarchy, str):
         h = hierarchy_from_spec(hierarchy, budget, horizon)
     else:
@@ -203,86 +291,19 @@ def run(
                 "a hierarchy object carries its own budget; "
                 "pass a spec string to choose a different one"
             )
-    bits = h.budget.bits
-    records: list[StepRecord] = []
-    theta_stop: dict | None = None
-    psi_stop: dict | None = None
-    want_theta = certify in ("theta", "both")
-    want_psi = certify in ("psi", "both")
-    value = seed
-    psi_n: int | None = seed if want_psi else None
-    prev_u: CntTerm | None = None
-    outcome = "step_cap"
-    detail: str | None = None
-    i = 0
-    while True:
-        try:
-            stage = h.stage(i)
-            bound = h.step_bound(i)
-        except (BudgetExceededError, HorizonError) as e:
-            # the stage itself can be too expensive to materialize
-            outcome = "budget_exceeded"
-            detail = str(e)
-            break
-        if bound is not None and value > bound:
-            raise ValueError(f"value exceeds the stage-{i} bound {bound}")
-        try:
-            base = stage.upper_base(value)
-        except (BudgetExceededError, HorizonError) as e:
-            # finding the base column can force materialization past the caps
-            outcome = "budget_exceeded"
-            detail = str(e)
-            break
-        rec = StepRecord(i, value, base)
-        if want_theta and theta_stop is None:
-            try:
-                rec.theta = ThetaInterpretation(stage).value(value)
-            except _CERT_ERRORS as e:
-                theta_stop = {"step": i, "reason": str(e)}
-        if want_psi and psi_stop is None:
-            try:
-                if psi_n > value:
-                    raise OrdinalError("witness overtook the value")
-                u = PsiInterpretation(stage).value(psi_n)
-                if prev_u is not None and fund_seq_cnt(prev_u, i) != u:
-                    raise OrdinalError("witness chain lost its linkage")
-                rec.psi_n, rec.psi_u = psi_n, u
-                prev_u = u
-            except _CERT_ERRORS as e:
-                psi_stop = {"step": i, "reason": str(e)}
-        records.append(rec)
-        if value == 0:
-            outcome = "terminated"
-            break
-        if max_steps is not None and i >= max_steps:
-            outcome = "step_cap"
-            break
-        if want_psi and psi_stop is None:
-            try:
-                psi_n = majorize_witness(
-                    stage, h.plus_index(i), psi_n, i + 1, h.budget, h.plus_object(i)
-                )
-            except _CERT_ERRORS as e:
-                psi_stop = {"step": i, "reason": str(e)}
-                psi_n = None
-        try:
-            value = h.upgrade_step(i, value) - 1
-        except (BudgetExceededError, HorizonError) as e:
-            outcome = "budget_exceeded"
-            detail = str(e)
-            break
-        i += 1
+    steps = _Steps(h, seed, certify, max_steps)
+    records = list(steps)
     return RunResult(
         spec=h.spec_string(),
         seed=seed,
         certify=certify,
-        bit_budget=bits,
+        bit_budget=h.budget.bits,
         max_steps=max_steps,
         records=records,
-        outcome=outcome,
-        detail=detail,
-        theta_stop=theta_stop,
-        psi_stop=psi_stop,
+        outcome=steps.outcome,
+        detail=steps.detail,
+        theta_stop=steps.theta_stop,
+        psi_stop=steps.psi_stop,
     )
 
 
@@ -294,289 +315,112 @@ class VerifyReport:
     steps: int = 0
 
 
-def _load_lines(source: str | Iterable[str]) -> list[str]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return [ln for ln in fh.read().splitlines() if ln.strip()]
-    return [ln for ln in source if ln.strip()]
-
-
-def _try_majorize(h, target_step: int, n_prev: int):
-    """Re-run the witness majorization leading into target_step."""
-    i = target_step - 1
-    try:
-        nxt = majorize_witness(
-            h.stage(i), h.plus_index(i), n_prev, target_step, h.budget, h.plus_object(i)
-        )
-    except _CERT_ERRORS as e:
-        return False, None, str(e)
-    return True, nxt, None
-
-
-def _check_theta_stop(h, stop, missing: list[int], vals: list[int]) -> list[str]:
-    """A declared theta stop must itself reproduce, not just be present."""
-    if stop is None:
-        return []
-    if not isinstance(stop, dict) or not isinstance(stop.get("step"), int):
-        return ["theta stop is malformed"]
-    if not missing:
-        return ["declared theta stop but every step carries a certificate"]
-    fm = missing[0]
-    if stop["step"] != fm:
-        return [
-            f"theta stop step {stop['step']} does not match"
-            f" the first missing certificate at {fm}"
-        ]
-    try:
-        ThetaInterpretation(h.stage(fm)).value(vals[fm])
-    except _CERT_ERRORS as e:
-        if str(e) != stop.get("reason"):
-            return [f"step {fm}: theta stop reason does not reproduce"]
-        return []
-    return [f"step {fm}: declared theta stop does not reproduce"]
-
-
-def _check_psi_stop(
-    h,
-    stop,
-    missing: list[int],
-    psi_ns: dict[int, int],
-    vals: list[int],
-    n_steps: int,
-    outcome,
-) -> list[str]:
-    """A declared psi stop must reproduce at the step it names.
-
-    A stop at the step before the first missing witness means majorization
-    died; a stop at the first missing step means the witness arrived but the
-    record-time checks rejected it.  A stop with no missing witness at all is
-    only possible when the final majorization failed right before a budget
-    death.  Each flavor is re-derived and its reason compared verbatim.
-    """
-    if stop is None:
-        return []
-    if not isinstance(stop, dict) or not isinstance(stop.get("step"), int):
-        return ["psi stop is malformed"]
-    reason = stop.get("reason")
-    step = stop["step"]
-    if not missing:
-        last = n_steps - 1
-        if last < 0 or step != last or outcome != "budget_exceeded":
-            return ["declared psi stop but every step carries a witness"]
-        ok, _, got = _try_majorize(h, last + 1, psi_ns[last])
-        if ok:
-            return [f"step {last}: declared psi stop does not reproduce"]
-        if got != reason:
-            return [f"step {last}: psi stop reason does not reproduce"]
-        return []
-    fm = missing[0]
-    if step == fm - 1:
-        ok, _, got = _try_majorize(h, fm, psi_ns[fm - 1])
-        if ok:
-            return [f"step {step}: declared psi stop does not reproduce"]
-        if got != reason:
-            return [f"step {step}: psi stop reason does not reproduce"]
-        return []
-    if step != fm:
-        return [f"psi stop step {step} does not match the first missing witness at {fm}"]
-    if fm == 0:
-        nxt: int | None = vals[0]
-        prev_u = None
-    else:
-        ok, nxt, got = _try_majorize(h, fm, psi_ns[fm - 1])
-        if not ok:
-            return [f"step {fm}: psi witness fails earlier than its declared stop: {got}"]
-        try:
-            prev_u = PsiInterpretation(h.stage(fm - 1)).value(psi_ns[fm - 1])
-        except _CERT_ERRORS as e:
-            return [f"step {fm - 1}: psi value does not recompute: {e}"]
-    try:
-        if nxt > vals[fm]:
-            raise OrdinalError("witness overtook the value")
-        u = PsiInterpretation(h.stage(fm)).value(nxt)
-        if prev_u is not None and fund_seq_cnt(prev_u, fm) != u:
-            raise OrdinalError("witness chain lost its linkage")
-    except _CERT_ERRORS as e:
-        if str(e) != reason:
-            return [f"step {fm}: psi stop reason does not reproduce"]
-        return []
-    return [f"step {fm}: declared psi stop does not reproduce"]
-
-
 def verify_trace(source: str | Iterable[str]) -> VerifyReport:
-    """Re-derive every claim in a trace and report all deviations.
+    """Replay the run a trace claims and report every deviation.
 
-    The hierarchy is rebuilt from the header under the recorded bit budget;
-    values, bases and certificates are recomputed from scratch, certificate
-    chains are checked for strict descent and correct linkage, and the
-    recorded outcome must reproduce, including a budget death.
+    source is a file path or an iterable of lines, read one line at a time.
+    The hierarchy is rebuilt from the header and the step loop of ``run`` is
+    replayed under the recorded caps, one step per row: every row must equal
+    its replayed step, and the outcome line the replayed ending (outcome,
+    death detail and both evidence stops, compared whole).  On its own, from
+    the claimed terms, the verifier also checks that the theta chain strictly
+    descends and that the psi chain links and stays at or below the value.
+    The replay runs at most one step past the last row.
     """
-    problems: list[str] = []
     try:
-        lines = _load_lines(source)
-        rows = [json.loads(ln) for ln in lines]
-    except (OSError, json.JSONDecodeError) as e:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                return _verify_lines(fh)
+        return _verify_lines(source)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         return VerifyReport(False, [f"unreadable trace: {e}"])
-    if len(rows) < 2:
+
+
+def _verify_lines(lines: Iterable[str]) -> VerifyReport:
+    docs = (json.loads(ln) for ln in lines if ln.strip())
+    head, row = next(docs, None), next(docs, None)
+    if row is None:
         return VerifyReport(False, ["trace needs a header and an outcome line"])
-    head, steps, tail = rows[0], rows[1:-1], rows[-1]
     try:
         if head.get("format") != TRACE_FORMAT or head.get("version") != TRACE_VERSION:
             return VerifyReport(False, ["not a recognized trace header"])
         caps = head["caps"]
-        seed = _str_int(head["seed"])
-        certify = caps["certify"]
-        max_steps = caps["max_steps"]
         h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]))
-    except (KeyError, TypeError, ValueError) as e:
+        steps = _Steps(h, _str_int(head["seed"]), caps["certify"], caps["max_steps"])
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         return VerifyReport(False, [f"malformed header: {e}"])
-    if tail.get("steps") != len(steps):
-        problems.append(
-            f"outcome line claims {tail.get('steps')} steps, trace has {len(steps)}"
-        )
-    want_theta = certify in ("theta", "both")
-    want_psi = certify in ("psi", "both")
-
-    def stopped_by(kind: str, pos: int) -> bool:
-        stop = tail.get(kind)
-        return (
-            isinstance(stop, dict)
-            and isinstance(stop.get("step"), int)
-            and stop["step"] <= pos
-        )
-
-    value = seed
-    vals: list[int] = []
-    theta_missing: list[int] = []
-    psi_missing: list[int] = []
-    psi_ns: dict[int, int] = {}
+    replay = iter(steps)
+    problems: list[str] = []
     prev_theta: CntTerm | None = None
     prev_psi: tuple[int, CntTerm] | None = None
-    last_alive: tuple[int, int] | None = None
-    replay_ok = True
-    for pos, row in enumerate(steps):
+
+    def follow(row, pos: int) -> bool:
+        """Check one row against its replayed step; False once the replay cannot follow."""
+        nonlocal prev_theta, prev_psi
         where = f"step {pos}"
+        rec = next(replay, None)
+        if rec is None:
+            problems.append(f"{where}: trace continues past the end of the run")
+            return False
+        if row.get("i") != pos:
+            problems.append(f"{where}: index {row.get('i')} out of order")
+            return False
+        value = _str_int(row["value"])
+        if value != rec.value:
+            problems.append(f"{where}: value does not recompute")
+            return False
+        if row.get("base") != rec.base:
+            problems.append(f"{where}: base does not recompute")
+        theta = _parse_cnt(row["theta"]) if "theta" in row else None
+        if theta != rec.theta:
+            problems.append(f"{where}: theta certificate does not recompute")
+        if theta is not None:
+            if prev_theta is not None and compare_cnt(theta, prev_theta) >= 0:
+                problems.append(f"{where}: theta certificate fails to decrease")
+            prev_theta = theta
+        n = u = None
+        if "psi" in row:
+            n, u = _str_int(row["psi"]["n"]), _parse_cnt(row["psi"]["u"])
+        if (n, u) != (rec.psi_n, rec.psi_u):
+            problems.append(f"{where}: psi witness does not recompute")
+        if n is not None:
+            if n > value:
+                problems.append(f"{where}: psi witness exceeds the value")
+            if prev_psi is not None and (
+                prev_psi[0] != pos - 1 or fund_seq_cnt(prev_psi[1], pos) != u
+            ):
+                problems.append(f"{where}: psi witness chain broken")
+            prev_psi = (pos, u)
+        return True
+
+    pos, live = 0, True
+    for nxt in docs:
+        if live:
+            try:
+                live = follow(row, pos)
+            except _ROW_ERRORS as e:
+                problems.append(f"step {pos}: recomputation failed: {e}")
+                live = False
+        pos += 1
+        row = nxt
+    tail = row if isinstance(row, dict) else {}
+    if tail.get("steps") != pos:
+        problems.append(f"outcome line claims {tail.get('steps')} steps, trace has {pos}")
+    if live:
         try:
-            if row.get("i") != pos:
-                problems.append(f"{where}: index {row.get('i')} out of order")
-                replay_ok = False
-                break
-            got_value = _str_int(row["value"])
-            if got_value != value:
-                problems.append(f"{where}: value does not recompute")
-                replay_ok = False
-                break
-            vals.append(value)
-            stage = h.stage(pos)
-            bound = h.step_bound(pos)
-            if bound is not None and value > bound:
-                problems.append(f"{where}: value exceeds the stage bound")
-                replay_ok = False
-                break
-            if row.get("base") != stage.upper_base(value):
-                problems.append(f"{where}: base does not recompute")
-            theta_s = row.get("theta")
-            if theta_s is not None:
-                if not want_theta:
-                    problems.append(f"{where}: theta certificate not allowed by caps")
-                else:
-                    cert = ThetaInterpretation(stage).value(value)
-                    if _parse_cnt(theta_s) != cert:
-                        problems.append(f"{where}: theta certificate does not recompute")
-                    if prev_theta is not None and compare_cnt(cert, prev_theta) >= 0:
-                        problems.append(f"{where}: theta certificate fails to decrease")
-                    prev_theta = cert
-            elif want_theta:
-                theta_missing.append(pos)
-                if not stopped_by("theta_stop", pos):
-                    problems.append(f"{where}: theta certificate missing without a stop")
-            psi_row = row.get("psi")
-            if psi_row is not None:
-                if not want_psi:
-                    problems.append(f"{where}: psi witness not allowed by caps")
-                else:
-                    n = _str_int(psi_row["n"])
-                    if n > value:
-                        problems.append(f"{where}: psi witness exceeds the value")
-                    u = PsiInterpretation(stage).value(n)
-                    if _parse_cnt(psi_row["u"]) != u:
-                        problems.append(f"{where}: psi value does not recompute")
-                    if prev_psi is not None:
-                        last_i, last_u = prev_psi
-                        if last_i != pos - 1 or fund_seq_cnt(last_u, pos) != u:
-                            problems.append(f"{where}: psi witness chain broken")
-                    prev_psi = (pos, u)
-                    psi_ns[pos] = n
-            elif want_psi:
-                psi_missing.append(pos)
-                if not stopped_by("psi_stop", pos):
-                    problems.append(f"{where}: psi witness missing without a stop")
+            extra = next(replay, None)
         except _CERT_ERRORS as e:
-            problems.append(f"{where}: recomputation failed: {e}")
-            replay_ok = False
-            break
-        if value == 0:
-            last_alive = None
-            if pos != len(steps) - 1:
-                problems.append(f"{where}: trace continues past termination")
-                replay_ok = False
-            break
-        last_alive = (pos, value)
-        if pos == len(steps) - 1:
-            break
-        try:
-            value = h.upgrade_step(pos, value) - 1
-        except (BudgetExceededError, HorizonError) as e:
-            problems.append(f"{where}: upgrade dies before the trace ends: {e}")
-            replay_ok = False
-            break
-    outcome = tail.get("outcome")
-    if replay_ok:
-        if want_theta:
-            problems.extend(_check_theta_stop(h, tail.get("theta_stop"), theta_missing, vals))
-        if want_psi:
-            problems.extend(
-                _check_psi_stop(
-                    h, tail.get("psi_stop"), psi_missing, psi_ns, vals, len(steps), outcome
-                )
-            )
-    if replay_ok:
-        if outcome == "terminated":
-            if not steps or _str_int(steps[-1]["value"]) != 0:
-                problems.append("terminated outcome without a final zero")
-            if tail.get("detail") is not None:
-                problems.append("terminated outcome carries a death detail")
-        elif outcome == "step_cap":
-            if max_steps is None or len(steps) != max_steps + 1:
-                problems.append("step_cap outcome does not match the step cap")
-            elif last_alive is None:
-                problems.append("step_cap outcome on a finished run")
-            if tail.get("detail") is not None:
-                problems.append("step_cap outcome carries a death detail")
-        elif outcome == "budget_exceeded":
-            if steps and last_alive is None:
-                problems.append("budget_exceeded outcome on a finished run")
-            else:
-                # the death point is the upgrade, the next stage, or the
-                # base column of the step that never got recorded
-                try:
-                    if last_alive is None:
-                        nxt = seed
-                        stage = h.stage(0)
-                        h.step_bound(0)
-                    else:
-                        pos, v = last_alive
-                        nxt = h.upgrade_step(pos, v) - 1
-                        stage = h.stage(pos + 1)
-                        h.step_bound(pos + 1)
-                    stage.upper_base(nxt)
-                    problems.append("claimed budget death does not reproduce")
-                except (BudgetExceededError, HorizonError) as e:
-                    if tail.get("detail") != str(e):
-                        problems.append("budget death detail does not reproduce")
+            problems.append(f"step {pos}: recomputation failed: {e}")
         else:
-            problems.append(f"unknown outcome {outcome!r}")
-    return VerifyReport(not problems, problems, outcome, len(steps))
+            if extra is not None:
+                problems.append(f"step {pos}: the run goes on past the end of the trace")
+            else:
+                problems.extend(
+                    f"{key} does not reproduce"
+                    for key in ("outcome", "detail", "theta_stop", "psi_stop")
+                    if tail.get(key) != getattr(steps, key)
+                )
+    return VerifyReport(not problems, problems, tail.get("outcome"), pos)
 
 
 @dataclass

@@ -8,7 +8,6 @@ from fractal_goodstein.hierarchy import (
     FiniteHierarchy,
     HorizonError,
     LazyHierarchy,
-    validate,
 )
 from fractal_goodstein.numerals import INFINITY
 
@@ -32,9 +31,9 @@ def test_validation_rules():
 
 
 def test_validate_wrapper():
-    assert validate([2, 6]).known_elements() == (2, 6)
+    assert FiniteHierarchy([2, 6]).known_elements() == (2, 6)
     with pytest.raises(ValueError):
-        validate([2, 5])
+        FiniteHierarchy([2, 5])
 
 
 def test_membership_and_bounds():

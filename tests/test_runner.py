@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fractal_goodstein.cli import DEFAULT_MAX_STEPS
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import lift, term_to_str
 from fractal_goodstein.runner import (
@@ -109,7 +110,10 @@ def test_base_column_death_is_an_outcome_too():
     assert r.outcome == "budget_exceeded"
     assert "exceeds budget" in r.detail
     assert [rec.value for rec in r.records] == [4, 26]
-    assert verify_trace(r.trace_lines()).ok
+    # lines can come from a one-shot generator: the verifier reads each once
+    report = verify_trace(line for line in r.trace_lines())
+    assert report.ok
+    assert (report.outcome, report.steps) == ("budget_exceeded", 2)
 
 
 def test_trace_file_round_trip(tmp_path):
@@ -199,6 +203,32 @@ def test_step_cap_tampering_is_rejected():
     docs = [json.loads(ln) for ln in lines]
     docs[0]["caps"]["max_steps"] = 12
     assert not verify_trace([json.dumps(d) for d in docs]).ok
+    # a negative or fractional cap is no cap any run can have
+    for forged_cap in (-1, 10.5):
+        report = verify_trace(_mutate(lines, 0, "caps", forged_cap, subkey="max_steps"))
+        assert not report.ok
+        assert report.problems[0].startswith("malformed header")
+
+
+def test_replay_stops_one_step_past_the_trace(monkeypatch):
+    # five rows of a run that never terminates, claimed as a finished run
+    lines = run("classic", 4, max_steps=4, certify="both").trace_lines()
+    forged = _mutate(lines, 0, "caps", None, subkey="max_steps")
+    forged = _mutate(forged, -1, "outcome", "terminated")
+    upgrades = []
+    real = ClassicHierarchy.upgrade_step
+
+    def counted(self, i, n):
+        upgrades.append(i)
+        assert len(upgrades) <= 50, "the replay ran on past the trace"
+        return real(self, i, n)
+
+    monkeypatch.setattr(ClassicHierarchy, "upgrade_step", counted)
+    report = verify_trace(forged)
+    assert not report.ok
+    assert "the run goes on past the end of the trace" in report.problems[0]
+    # four upgrades between the five rows, and one to find the sixth
+    assert upgrades == [0, 1, 2, 3, 4]
 
 
 def test_unwanted_certificates_are_rejected():
@@ -277,6 +307,8 @@ def test_run_accepts_objects_and_budgets():
     # an object already carries a budget; a second one is a contradiction
     with pytest.raises(ValueError):
         run(h, 3, budget=BitBudget(1 << 10))
+    with pytest.raises(ValueError):
+        run("classic", 4, max_steps=-1)
 
 
 # --- command line ----------------------------------------------------------------
@@ -322,6 +354,21 @@ def test_cli_usage_errors(capsys):
     assert cli("run", "--hierarchy", "spiral", "--seed", "3") == 3
     assert cli("nonsense") == 3
     assert cli("run", "--hierarchy", "diagonal", "--seed", "3") == 3
+    assert cli("run", "--hierarchy", "classic", "--seed", "4", "--max-steps", "-1") == 3
+    assert cli("run", "--hierarchy", "classic", "--seed", "4", "--bit-budget", "0") == 3
+    capsys.readouterr()
+
+
+def test_cli_run_is_capped_by_default(tmp_path, capsys):
+    # classic seed 4 would otherwise run for about 3 * 2**402653211 steps
+    p = tmp_path / "t.jsonl"
+    argv = ("run", "--hierarchy", "classic", "--seed", "4", "--certify", "none")
+    assert cli(*argv, "--out", str(p)) == 0
+    lines = p.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0])["caps"]["max_steps"] == DEFAULT_MAX_STEPS
+    assert json.loads(lines[-1])["outcome"] == "step_cap"
+    assert len(lines) == DEFAULT_MAX_STEPS + 3
+    assert cli("verify", str(p)) == 0
     capsys.readouterr()
 
 
