@@ -7,6 +7,7 @@ wide that downstream work becomes infeasible.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -124,18 +125,68 @@ INFINITY = Infinity()
 ExtNat = int | Infinity
 
 
+# log2 of a base is bounded in fixed point with _LOG_BITS fraction bits,
+# computed on a mantissa of _LOG_BITS + 4 bits
+_LOG_BITS = 64
+_MANT_BITS = _LOG_BITS + 4
+
+
+@lru_cache(maxsize=4096)
+def _log2_frac(top: int) -> int:
+    """Fraction bits F of log2(x), for x = top / 2**_MANT_BITS in [1, 2).
+
+    Squaring x doubles log2(x); a square at or above 2 yields a 1 bit and is
+    halved.  Each right shift rounds x down by less than 2**-_MANT_BITS,
+    which lowers log2(x) by less than 2**(1 - _MANT_BITS), weighted 2**-i at
+    bit i; a mantissa cut short by less than 2**-_MANT_BITS costs as much at
+    weight 1.  With the bits not extracted, which weigh less than one unit,
+    F <= 2**_LOG_BITS * log2(x') < F + 1.25 for any such uncut mantissa x'.
+    """
+    x, frac, two = top, 0, 2 << (2 * _MANT_BITS)
+    for _ in range(_LOG_BITS):
+        x *= x
+        frac <<= 1
+        if x >= two:
+            x >>= _MANT_BITS + 1
+            frac |= 1
+        else:
+            x >>= _MANT_BITS
+    return frac
+
+
+def _log2_ceil(b: int) -> int:
+    """An integer h with 2**_LOG_BITS * log2(b) < h <= that + 2, for b >= 2."""
+    k = b.bit_length() - 1
+    # the leading _MANT_BITS + 1 bits of b, as x = top / 2**_MANT_BITS in [1, 2);
+    # cutting lower bits rounds x down, which _log2_frac allows for
+    top = b >> (k - _MANT_BITS) if k > _MANT_BITS else b << (_MANT_BITS - k)
+    return (k << _LOG_BITS) + _log2_frac(top) + 2
+
+
 def _floor_log(n: int, b: int) -> tuple[int, int]:
-    """Largest e with b**e <= n, together with b**e.  Requires n >= 1, b >= 2."""
-    # repeated squaring, then greedy descent: exact and logarithm-free
-    squares = [b]
-    while squares[-1] <= n // squares[-1]:
-        squares.append(squares[-1] * squares[-1])
-    e, power = 0, 1
-    for i in range(len(squares) - 1, -1, -1):
-        candidate = power * squares[i]
-        if candidate <= n:
-            power = candidate
-            e += 1 << i
+    """Largest e with b**e <= n, together with b**e.  Requires n >= 1, b >= 2.
+
+    A start e0 with b**e0 <= n is stepped up by multiplications by b.  For
+    n wider than 64 bits, e0 comes from the bit length L of n and an upper
+    bound h on log2(b) from _log2_ceil, both in integers: e0 = floor((L - 1)
+    / h) has e0 * log2(b) <= L - 1, so b**e0 <= 2**(L - 1) <= n.  b**e0 is
+    then the one power taken, and at most two steps remain.
+    """
+    if n.bit_length() <= 64:
+        # here e <= 63, in practice a handful: cheaper to count up from 0
+        e, power = 0, 1
+    else:
+        e = ((n.bit_length() - 1) << _LOG_BITS) // _log2_ceil(b)
+        power = b**e
+        # The answer e* has b**e* <= n < 2**L, so it lies below
+        # L / log2(b) <= (L - 1) / log2(b) + 1, and the floor puts e0 above
+        # (L - 1) / h - 1, where h exceeds log2(b) by at most
+        # 2**(1 - _LOG_BITS).  So the gap is under
+        # 2 + (L - 1) * 2**(1 - _LOG_BITS), below 3 for any n narrower than
+        # 2**63 bits: the loop below takes at most two steps.
+    while (up := power * b) <= n:
+        power = up
+        e += 1
     return e, power
 
 

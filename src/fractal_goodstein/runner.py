@@ -6,7 +6,8 @@ step: a strictly decreasing theta certificate, and a psi witness chain whose
 integers realize fundamental-sequence entries.  The step loop exists once,
 in ``_Steps``: ``run`` collects it, and ``verify_trace`` replays it.
 
-Traces serialize to JSONL.  The verifier rebuilds the hierarchy from the
+Traces serialize to JSONL, with integers as bare lowercase hex strings
+(trace version 2).  The verifier rebuilds the hierarchy from the
 header, replays the loop under the recorded caps alongside the trace, and
 rejects any row or ending that differs from the replay.  From the claimed
 terms alone it also checks that the theta chain strictly descends and that
@@ -16,7 +17,7 @@ the psi chain links and stays at or below the value.
 from __future__ import annotations
 
 import json
-import sys
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 TRACE_FORMAT = "goodstein-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 _DEATHS = (BudgetExceededError, HorizonError)
 _CERT_ERRORS = _DEATHS + (OrdinalError, ValueError)
@@ -59,20 +60,19 @@ _ROW_ERRORS = _CERT_ERRORS + (AttributeError, KeyError, TypeError)
 
 
 def _int_str(v: int) -> str:
-    # CPython caps int-to-decimal conversion; traces may carry wide values
-    if hasattr(sys, "get_int_max_str_digits"):
-        need = v.bit_length() // 3 + 4
-        if need > sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(need)
-    return str(v)
+    # bare lowercase hex: linear in the width, never longer than decimal, and
+    # outside the int-to-decimal digit limit
+    return format(v, "x")
+
+
+_HEX_INT = re.compile(r"0|[1-9a-f][0-9a-f]*")
 
 
 def _str_int(s: str) -> int:
-    if hasattr(sys, "get_int_max_str_digits"):
-        need = len(s) + 4
-        if need > sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(need)
-    return int(s)
+    # only the one string _int_str writes for a value is accepted
+    if not isinstance(s, str) or not _HEX_INT.fullmatch(s):
+        raise ValueError(f"not a canonical hex integer: {s!r:.40}")
+    return int(s, 16)
 
 
 def _cnt_str(c: CntTerm) -> str:
@@ -342,7 +342,15 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
     if row is None:
         return VerifyReport(False, ["trace needs a header and an outcome line"])
     try:
-        if head.get("format") != TRACE_FORMAT or head.get("version") != TRACE_VERSION:
+        if head.get("format") != TRACE_FORMAT:
+            return VerifyReport(False, ["not a recognized trace header"])
+        if head.get("version") == 1:
+            problem = (
+                "trace version 1 is not supported: v1 wrote integers in decimal, "
+                "version 2 in hex; re-run to get a version 2 trace"
+            )
+            return VerifyReport(False, [problem])
+        if head.get("version") != TRACE_VERSION:
             return VerifyReport(False, ["not a recognized trace header"])
         caps = head["caps"]
         h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]))

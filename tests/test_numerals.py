@@ -1,13 +1,19 @@
 """Decomposition, hereditary digits, base change, towers, and bit budgets."""
 
+import random
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fractal_goodstein.numerals import (
     INFINITY,
+    _LOG_BITS,
     BitBudget,
     BudgetExceededError,
     Decomposition,
+    _floor_log,
+    _log2_ceil,
     _short,
     base_change,
     decompose,
@@ -43,6 +49,74 @@ def test_decompose_roundtrip(n, b):
     assert 0 <= r < b**e
     # exponent is maximal
     assert b**e <= n
+
+
+def naive_floor_log(n, b):
+    """Multiply until the power passes n: shares nothing with the estimate."""
+    e, power = 0, 1
+    while power * b <= n:
+        power *= b
+        e += 1
+    return e, power
+
+
+# small, power-of-two, just off a power of two, and wider than the mantissa
+ORACLE_BASES = (2, 3, 4, 5, 7, 10, 255, 256, 257, 1000, 2**64 - 1, 2**64 + 1, 3**80, 2**300 + 7)
+
+
+def check_decomposition(n, b, e):
+    d = decompose(n, b)
+    assert d == (b, e, n // b**e, n % b**e)
+    assert 0 < d.coeff < b
+
+
+def test_floor_log_matches_the_naive_oracle_up_to_20k_bits():
+    rng = random.Random(20250)
+    for b in ORACLE_BASES:
+        for bits in (1, 2, 60, 70, 300, 5000, 20000):
+            n = rng.getrandbits(bits) | (1 << (bits - 1))
+            want = naive_floor_log(n, b)
+            assert _floor_log(n, b) == want, (bits, b)
+            if n >= b:
+                check_decomposition(n, b, want[0])
+    for _ in range(60):
+        b = rng.randrange(2, 1 << rng.randrange(2, 80))
+        n = rng.getrandbits(rng.randrange(1, 20000)) + 1
+        assert _floor_log(n, b) == naive_floor_log(n, b), (n.bit_length(), b)
+
+
+def test_floor_log_at_exact_powers():
+    rng = random.Random(7)
+    bases = ORACLE_BASES + tuple(rng.randrange(2, 1 << 70) for _ in range(20))
+    for b in bases:
+        top = 20000 // b.bit_length()
+        for e in {1, 2, 3, top // 2, top} | {rng.randrange(1, top + 1) for _ in range(4)}:
+            p = b**e
+            assert _floor_log(p - 1, b) == (e - 1, p // b), (b, e)
+            assert _floor_log(p, b) == (e, p), (b, e)
+            assert _floor_log(p + 1, b) == (e, p), (b, e)
+            check_decomposition(p, b, e)
+            check_decomposition(p + 1, b, e)
+            if e > 1:
+                check_decomposition(p - 1, b, e - 1)
+
+
+def test_floor_log_of_bases_wider_than_n():
+    for n, b in ((1, 2), (1, 3), (5, 6), (2**64, 2**64 + 1), (2**5000 - 1, 2**5000), (3**900, 3**901)):
+        assert _floor_log(n, b) == (0, 1)
+        assert decompose(n, b) == (b, 0, n, 0)
+
+
+def test_log2_ceil_brackets_the_logarithm():
+    # decimal logarithms to 60 digits as the independent oracle
+    scale = 1 << _LOG_BITS
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        for b in ORACLE_BASES + (6, 2**67 - 1, 2**68, 2**69 + 1, 10**40 + 3):
+            exact = Decimal(b).ln() / ln2 * scale
+            h = _log2_ceil(b)
+            assert h - 2 <= exact < h, b
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=2, max_value=1000))

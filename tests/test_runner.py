@@ -1,6 +1,7 @@
 """End-to-end runs, trace verification, tampering, and the witness chain."""
 
 import json
+import sys
 
 import pytest
 
@@ -171,6 +172,16 @@ TAMPERINGS = [
             _drop_key(ls, 2, "theta"), -1, "theta_stop", {"step": 1, "reason": "made up"}
         ),
     ),
+    # other spellings of the true integer (value 3, seed 3, psi n 3): int(s, 16)
+    # reads each string as 3 and int() takes the number, yet only the
+    # canonical string is accepted
+    ("value 0x", lambda ls: _mutate(ls, 2, "value", "0x3")),
+    ("value leading zero", lambda ls: _mutate(ls, 2, "value", "03")),
+    ("value space", lambda ls: _mutate(ls, 2, "value", " 3")),
+    ("value plus", lambda ls: _mutate(ls, 2, "value", "+3")),
+    ("seed underscore", lambda ls: _mutate(ls, 0, "seed", "0_3")),
+    ("psi n number", lambda ls: _mutate(ls, 1, "psi", 3, subkey="n")),
+    ("version 1", lambda ls: _mutate(ls, 0, "version", 1)),
 ]
 
 
@@ -183,6 +194,37 @@ def test_single_field_tampering_is_rejected(certified_lines, label, mutate):
 
 def test_untampered_control(certified_lines):
     assert verify_trace(list(certified_lines)).ok
+
+
+def test_trace_integers_are_canonical_hex():
+    lines = run("classic", 4, max_steps=3, certify="none").trace_lines()
+    assert json.loads(lines[2])["value"] == "1a"  # 26
+    assert verify_trace(lines).ok
+    for spelling in ("1A", "0x1a", "01a", "1_a", "+1a", " 1a", 26):
+        report = verify_trace(_mutate(lines, 2, "value", spelling))
+        assert not report.ok, spelling
+        assert "not a canonical hex integer" in report.problems[0], spelling
+
+
+def test_version_1_traces_are_rejected_by_name(certified_lines):
+    report = verify_trace(_mutate(certified_lines, 0, "version", 1))
+    assert not report.ok
+    assert report.problems[0].startswith("trace version 1 is not supported")
+    assert "decimal" in report.problems[0] and "re-run" in report.problems[0]
+
+
+def test_trace_io_leaves_the_int_digit_limit_alone():
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    before = limit() if limit else None
+    # climbs to 844k bits: a decimal trace would need 254k digits
+    r = run("classic", 2**15 + 8, certify="none")
+    assert r.outcome == "budget_exceeded"
+    assert r.records[-1].value.bit_length() == 844247
+    report = verify_trace(r.trace_lines())
+    assert report.ok
+    assert report.steps == 5
+    if limit:
+        assert limit() == before
 
 
 def test_budget_outcome_tampering_is_rejected():
