@@ -33,8 +33,10 @@ from .successors import PlusHierarchy
 
 __all__ = ["main"]
 
-# a run without --max-steps stops here: no command line call runs unbounded
+# a run without --max-steps stops here, and a stepdown without --limit here:
+# no command line call runs unbounded
 DEFAULT_MAX_STEPS = 10_000
+DEFAULT_STEPDOWN_LIMIT = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +71,7 @@ def _build() -> _Parser:
     of.add_argument("index", help="natural number or a countable term")
     od = osub.add_parser("stepdown", help="iterate entries with indices 1, 2, 3, ...")
     od.add_argument("term")
-    od.add_argument("--limit", type=int, default=None, help="stop after this many entries")
+    od.add_argument("--limit", type=int, default=DEFAULT_STEPDOWN_LIMIT, help="stop after this many entries (default %(default)s)")
 
     hs = sub.add_parser("hierarchy", help="hierarchy constructions")
     hsub = hs.add_subparsers(dest="hierarchy_command", required=True)

@@ -8,7 +8,7 @@ wide that downstream work becomes infeasible.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 __all__ = [
     "BudgetExceededError",
@@ -234,6 +234,50 @@ def digits(n: int, b: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _phi_value(
+    up: Callable[[int], ExtNat] | None,
+    b: int,
+    c: int,
+    m: int,
+    budget: BitBudget,
+    cache: dict[int, ExtNat],
+    low: int,
+) -> ExtNat:
+    """Deep base change of m: hereditary base-b monomials rebuilt over c.
+
+    Digits and small remainders below ``low`` stay as they are, those from
+    ``low`` up to b are upgraded by up(), and exponents are rewritten
+    recursively.  Infinite digit upgrades make the whole value infinite.
+    With low == b no digit is upgraded (up is never called): that is the
+    hereditary base change.
+    """
+    if m < b:
+        return m if m < low else up(m)
+    hit = cache.get(m)
+    if hit is not None:
+        return hit
+    acc: ExtNat = 0
+    rest = m
+    # walk monomials iteratively; recursion depth is only the exponent tower
+    while rest >= b:
+        _, e, a, r = decompose(rest, b)
+        if e < b:  # most exponents are single digits: no recursive call
+            pe = e if e < low else up(e)
+        else:
+            pe = _phi_value(up, b, c, e, budget, cache, low)
+        ua = a if a < low else up(a)
+        if pe is INFINITY or ua is INFINITY:
+            acc = INFINITY
+            break
+        acc = budget.check(acc + budget.pow(c, pe) * ua)
+        rest = r
+    if acc is not INFINITY and rest:
+        tail = rest if rest < low else up(rest)
+        acc = INFINITY if tail is INFINITY else budget.check(acc + tail)
+    cache[m] = acc
+    return acc
+
+
 def base_change(n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET) -> int:
     """Rewrite n from hereditary base b to base c >= b, digits unchanged.
 
@@ -246,26 +290,7 @@ def base_change(n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET) -> i
     if n < 0:
         raise ValueError(f"cannot base-change {n}")
     budget.check(n)
-    cache: dict[int, int] = {}
-
-    # loop over monomials; recursion only on exponents (tower height stays tiny)
-    def chi(m: int) -> int:
-        if m < b:
-            return m
-        hit = cache.get(m)
-        if hit is not None:
-            return hit
-        acc = 0
-        rest = m
-        while rest >= b:
-            _, e, a, r = decompose(rest, b)
-            acc = budget.check(acc + budget.pow(c, chi(e)) * a)
-            rest = r
-        result = acc + rest
-        cache[m] = result
-        return result
-
-    return chi(n)
+    return _phi_value(None, b, c, n, budget, {}, b)
 
 
 def superexp(x: int, y: int, budget: BitBudget = DEFAULT_BUDGET) -> int:

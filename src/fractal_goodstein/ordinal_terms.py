@@ -502,11 +502,15 @@ def _psi_atom_fund_seq(atom: Atom, idx: Index) -> CntTerm:
     assert zeta is not None
     cof = cofinality(zeta)
     if cof is Cofinality.BIG_OMEGA:
-        # diagonal descent: xi[0] = 0, xi[k+1] = p(zeta[xi[k]])
+        # diagonal descent: xi[0] = 0, xi[k+1] = p(zeta[xi[k]]); each entry
+        # depends only on the one before, so a repeat is a fixed point
         steps = _as_finite_index(idx)
         cur = CNT_ZERO
         for _ in range(steps):
-            cur = psi(fund_seq(zeta, cur))
+            nxt = psi(fund_seq(zeta, cur))
+            if nxt == cur:
+                break
+            cur = nxt
         return cur
     # countable (or successor) argument cofinality: push the index inside
     return psi(fund_seq(zeta, idx))
@@ -720,10 +724,15 @@ class _Parser:
                 mult = int(mult_tok)
                 if mult > 1_000_000:
                     raise OrdinalError("multiplicity too large")
-                scaled = CNT_ZERO
-                for _ in range(mult):
-                    scaled = cnt_add(scaled, value)
-                value = scaled
+                if mult == 0:
+                    value = CNT_ZERO
+                elif value.is_finite():
+                    value = fin_cnt(value.fin * mult)
+                else:
+                    # x*m = x + ... + x: every copy but the last is absorbed
+                    # into the leading atoms of the next
+                    (atom, lead), *rest = value.parts
+                    value = CntTerm(((atom, lead * mult), *rest), value.fin)
             return value
         raise OrdinalError(f"expected a countable piece, found {tok!r}")
 

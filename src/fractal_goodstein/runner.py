@@ -97,7 +97,7 @@ def hierarchy_from_spec(
     budget = budget or BitBudget()
     s = spec.strip()
     if s == "classic":
-        return dynamical("classic", budget=budget)
+        return dynamical("classic", budget=budget, horizon=horizon)
     if s == "ouroboros":
         return dynamical("ouroboros", budget=budget, horizon=horizon)
     if s == "diagonal":
@@ -146,18 +146,22 @@ class RunResult:
     detail: str | None = None
     theta_stop: dict | None = None
     psi_stop: dict | None = None
+    horizon: int = DEFAULT_HORIZON
 
     def trace_lines(self) -> list[str]:
+        caps = {
+            "max_steps": self.max_steps,
+            "bit_budget": self.bit_budget,
+            "certify": self.certify,
+        }
+        if self.horizon != DEFAULT_HORIZON:
+            caps["horizon"] = self.horizon
         head = {
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,
             "hierarchy": self.spec,
             "seed": _int_str(self.seed),
-            "caps": {
-                "max_steps": self.max_steps,
-                "bit_budget": self.bit_budget,
-                "certify": self.certify,
-            },
+            "caps": caps,
         }
         lines = [json.dumps(head)]
         for r in self.records:
@@ -254,9 +258,8 @@ class _Steps:
                 return
             if want_psi and self.psi_stop is None:
                 try:
-                    psi_n = majorize_witness(
-                        stage, h.plus_index(i), psi_n, i + 1, h.budget, h.plus_object(i)
-                    )
+                    plus = h.plus_object(i)
+                    psi_n = majorize_witness(stage, plus.index, psi_n, i + 1, h.budget, plus)
                 except _CERT_ERRORS as e:
                     self.psi_stop = {"step": i, "reason": str(e)}
             try:
@@ -280,7 +283,8 @@ def run(
 
     certify picks the evidence attached to steps: "theta", "psi", "both" or
     "none".  Evidence generation that fails mid-run is recorded as a stop
-    with its reason and never aborts the value sequence itself.
+    with its reason and never aborts the value sequence itself.  The trace
+    header records the horizon when it is not the default.
     """
     if isinstance(hierarchy, str):
         h = hierarchy_from_spec(hierarchy, budget, horizon)
@@ -304,6 +308,7 @@ def run(
         detail=steps.detail,
         theta_stop=steps.theta_stop,
         psi_stop=steps.psi_stop,
+        horizon=h.horizon,
     )
 
 
@@ -353,7 +358,8 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         if head.get("version") != TRACE_VERSION:
             return VerifyReport(False, ["not a recognized trace header"])
         caps = head["caps"]
-        h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]))
+        horizon = caps.get("horizon", DEFAULT_HORIZON)
+        h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]), horizon)
         steps = _Steps(h, _str_int(head["seed"]), caps["certify"], caps["max_steps"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         return VerifyReport(False, [f"malformed header: {e}"])
@@ -494,7 +500,8 @@ def lower_bound_chain(
             report.complete = True
             break
         try:
-            n = majorize_witness(stage, oh.plus_index(i), n, i + 1, budget, oh.plus_object(i))
+            plus = oh.plus_object(i)
+            n = majorize_witness(stage, plus.index, n, i + 1, budget, plus)
         except _CERT_ERRORS as e:
             report.chain_failure = f"step {i}: {e}"
             break

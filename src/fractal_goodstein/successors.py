@@ -31,10 +31,10 @@ from .numerals import (
     BitBudget,
     ExtNat,
     INFINITY,
+    _phi_value,
     base_change,
     superexp,
 )
-from .upgrade import _phi_value
 
 __all__ = [
     "PlusHierarchy",
@@ -70,7 +70,6 @@ class PlusHierarchy(Hierarchy):
         self._added_at = [0]
         self._frontier = self.base.min_base
         self._no_more_events = False
-        self._up_memo: dict[int, int] = {}
         self._phi_caches: dict[tuple[int, int], dict[int, ExtNat]] = {}
 
     def __repr__(self) -> str:
@@ -165,17 +164,10 @@ class PlusHierarchy(Hierarchy):
         """Iterated deep changes at a critical value: d_0 through d_index."""
         if not self.base.is_critical(n):
             raise ValueError(f"{n} is not critical in {self.base!r}")
+        # the event at n appended d_1 .. d_index right after d_0
         self._advance_to(n)
-        b = self.base.upper_base(n)
         k = bisect_right(self._added_at, n - 1)
-        d = self._elems[k - 1]
-        out = [d]
-        for _ in range(self.index):
-            nd = self._phi(b, d, n)
-            assert nd is not INFINITY
-            out.append(nd)
-            d = nd
-        return tuple(out)
+        return tuple(self._elems[k - 1 : k + self.index])
 
     def upgrade_value(self, n: int) -> int:
         """Upgrade n from the base into this successor.
@@ -188,15 +180,11 @@ class PlusHierarchy(Hierarchy):
             raise ValueError("upgrades are defined on nonnegative integers")
         if n < self.base.min_base:
             return n
-        hit = self._up_memo.get(n)
-        if hit is not None:
-            return hit
         self._advance_to(n)
         b = self.base.upper_base(n)
         c = self._elems[bisect_right(self._added_at, n) - 1]
         val = self._phi(b, c, n)
         assert val is not INFINITY
-        self._up_memo[n] = val
         return val
 
     def chosen_base(self, n: int) -> int | None:
@@ -208,10 +196,9 @@ class PlusHierarchy(Hierarchy):
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
         cache = self._phi_caches.setdefault((b, c), {})
-        return _phi_value(self._small_up, b, c, m, self.budget, cache)
-
-    def _small_up(self, m: int) -> ExtNat:
-        return self.upgrade_value(m)
+        return _phi_value(
+            self.upgrade_value, b, c, m, self.budget, cache, self.base.min_base
+        )
 
 
 def ouroboros_stage(
@@ -238,57 +225,93 @@ class DynamicalHierarchy:
     """A family of hierarchies indexed by time, with one-step upgrades between them.
 
     stage(i) is the hierarchy at time i; upgrade_step(i, n) carries n from
-    stage i into stage i + 1.  plus_index(i) is the successor index used by
-    that step, and plus_object(i) exposes the underlying construction.
+    stage i into stage i + 1.  plus_object(i) is the successor that step
+    upgrades into, and its ``index`` is the successor index of the step.
+
+    One engine builds every kind: stage j + 1 is the part
+    ``_next_stage(j, plus)`` of the successor ``plus`` of stage j with index
+    ``_successor_index(j)``.  By default that is the whole j-th successor,
+    started from {2}: the ouroboros construction.
     """
 
     kind: str
 
+    def __init__(
+        self,
+        budget: BitBudget = DEFAULT_BUDGET,
+        horizon: int = DEFAULT_HORIZON,
+        first: Hierarchy | None = None,
+    ) -> None:
+        if type(horizon) is not int or horizon < 1:
+            raise ValueError(f"the horizon must be a positive integer, got {horizon!r:.40}")
+        self.budget = budget
+        self.horizon = horizon
+        self._stages: list[Hierarchy] = [FiniteHierarchy([2]) if first is None else first]
+        self._plus: list[PlusHierarchy] = []
+
     def spec_string(self) -> str:
-        raise NotImplementedError
+        return self.kind
+
+    def _successor_index(self, j: int) -> int:
+        return j
+
+    def _next_stage(self, j: int, plus: PlusHierarchy) -> Hierarchy:
+        return plus
+
+    def _ensure(self, i: int) -> None:
+        while len(self._plus) <= i:
+            j = len(self._plus)
+            p = PlusHierarchy(
+                self._stages[j], self._successor_index(j), self.budget, self.horizon
+            )
+            nxt = self._next_stage(j, p)
+            self._plus.append(p)
+            self._stages.append(nxt)
 
     def stage(self, i: int) -> Hierarchy:
-        raise NotImplementedError
+        if i > 0:
+            self._ensure(i - 1)
+        return self._stages[i]
 
     def upgrade_step(self, i: int, n: int) -> int:
-        raise NotImplementedError
-
-    def plus_index(self, i: int) -> int:
-        raise NotImplementedError
+        self._ensure(i)
+        return self._plus[i].upgrade_value(n)
 
     def plus_object(self, i: int) -> PlusHierarchy:
-        raise NotImplementedError
+        self._ensure(i)
+        return self._plus[i]
 
     def step_bound(self, i: int) -> int | None:
         """Largest value upgrade_step(i, .) accepts, when the stage is frozen."""
         return None
 
 
+class OuroborosHierarchy(DynamicalHierarchy):
+    """Start at {2} and take the i-th successor at step i."""
+
+    kind = "ouroboros"
+
+
 class ClassicHierarchy(DynamicalHierarchy):
-    """Single bases 2, 3, 4, ...; each upgrade is a hereditary base change."""
+    """Single bases 2, 3, 4, ...; each upgrade is a hereditary base change.
+
+    Stages and upgrades are in closed form; the engine only builds the
+    0-th successors that plus_object exposes.
+    """
 
     kind = "classic"
 
-    def __init__(self, budget: BitBudget = DEFAULT_BUDGET) -> None:
-        self.budget = budget
-        self._plus: dict[int, PlusHierarchy] = {}
+    def _successor_index(self, j: int) -> int:
+        return 0
 
-    def spec_string(self) -> str:
-        return "classic"
+    def _next_stage(self, j: int, plus: PlusHierarchy) -> Hierarchy:
+        return FiniteHierarchy([j + 3])
 
     def stage(self, i: int) -> Hierarchy:
         return FiniteHierarchy([i + 2])
 
     def upgrade_step(self, i: int, n: int) -> int:
         return base_change(n, i + 2, i + 3, self.budget)
-
-    def plus_index(self, i: int) -> int:
-        return 0
-
-    def plus_object(self, i: int) -> PlusHierarchy:
-        if i not in self._plus:
-            self._plus[i] = PlusHierarchy(FiniteHierarchy([i + 2]), 0, self.budget)
-        return self._plus[i]
 
 
 class PlusChainHierarchy(DynamicalHierarchy):
@@ -305,78 +328,16 @@ class PlusChainHierarchy(DynamicalHierarchy):
         first = _coerce(start)
         if not isinstance(first, FiniteHierarchy):
             first = FiniteHierarchy(first.known_elements())
-        self.budget = budget
-        self.horizon = horizon
-        self._stages: list[FiniteHierarchy] = [first]
-        self._plus: list[PlusHierarchy] = []
+        super().__init__(budget, horizon, first)
 
     def spec_string(self) -> str:
         return "plus-chain: " + ",".join(map(str, self._stages[0]))
 
-    def _ensure(self, i: int) -> None:
-        while len(self._plus) <= i:
-            p = PlusHierarchy(self._stages[len(self._plus)], 0, self.budget, self.horizon)
-            frozen = p.materialize()
-            self._plus.append(p)
-            self._stages.append(frozen)
-
-    def stage(self, i: int) -> Hierarchy:
-        if i > 0:
-            self._ensure(i - 1)
-        return self._stages[i]
-
-    def upgrade_step(self, i: int, n: int) -> int:
-        self._ensure(i)
-        return self._plus[i].upgrade_value(n)
-
-    def plus_index(self, i: int) -> int:
+    def _successor_index(self, j: int) -> int:
         return 0
 
-    def plus_object(self, i: int) -> PlusHierarchy:
-        self._ensure(i)
-        return self._plus[i]
-
-
-class OuroborosHierarchy(DynamicalHierarchy):
-    """Start at {2} and take the i-th successor at step i."""
-
-    kind = "ouroboros"
-
-    def __init__(
-        self,
-        budget: BitBudget = DEFAULT_BUDGET,
-        horizon: int = DEFAULT_HORIZON,
-    ) -> None:
-        self.budget = budget
-        self.horizon = horizon
-        self._stages: list[Hierarchy] = [FiniteHierarchy([2])]
-        self._plus: list[PlusHierarchy] = []
-
-    def spec_string(self) -> str:
-        return "ouroboros"
-
-    def _ensure(self, i: int) -> None:
-        while len(self._plus) <= i:
-            j = len(self._plus)
-            p = PlusHierarchy(self._stages[j], j, self.budget, self.horizon)
-            self._plus.append(p)
-            self._stages.append(p)
-
-    def stage(self, i: int) -> Hierarchy:
-        if i > 0:
-            self._ensure(i - 1)
-        return self._stages[i]
-
-    def upgrade_step(self, i: int, n: int) -> int:
-        self._ensure(i)
-        return self._plus[i].upgrade_value(n)
-
-    def plus_index(self, i: int) -> int:
-        return i
-
-    def plus_object(self, i: int) -> PlusHierarchy:
-        self._ensure(i)
-        return self._plus[i]
+    def _next_stage(self, j: int, plus: PlusHierarchy) -> Hierarchy:
+        return plus.materialize()
 
 
 class FiniteForHierarchy(DynamicalHierarchy):
@@ -398,33 +359,20 @@ class FiniteForHierarchy(DynamicalHierarchy):
     ) -> None:
         if m < 0:
             raise ValueError("the bound seed cannot be negative")
+        super().__init__(budget, horizon)
         self.m = m
-        self.budget = budget
-        self.horizon = horizon
-        self._stages: list[FiniteHierarchy] = [FiniteHierarchy([2])]
         self._ks: list[int] = [m]
-        self._plus: list[PlusHierarchy] = []
 
     def spec_string(self) -> str:
         return f"finite-for: {self.m}"
 
+    def _next_stage(self, j: int, plus: PlusHierarchy) -> Hierarchy:
+        frozen = plus.stage_at(self._ks[j])
+        self._ks.append(self._next_k(j, plus, frozen))
+        return frozen
+
     def _next_k(self, j: int, plus: PlusHierarchy, frozen: FiniteHierarchy) -> int:
         return plus.upgrade_value(self._ks[j])
-
-    def _ensure(self, i: int) -> None:
-        while len(self._plus) <= i:
-            j = len(self._plus)
-            p = PlusHierarchy(self._stages[j], j, self.budget, self.horizon)
-            frozen = p.stage_at(self._ks[j])
-            nk = self._next_k(j, p, frozen)
-            self._plus.append(p)
-            self._stages.append(frozen)
-            self._ks.append(nk)
-
-    def stage(self, i: int) -> Hierarchy:
-        if i > 0:
-            self._ensure(i - 1)
-        return self._stages[i]
 
     def step_bound(self, i: int) -> int:
         if i >= len(self._ks):
@@ -442,13 +390,6 @@ class FiniteForHierarchy(DynamicalHierarchy):
             return n  # identity below the minimum; the next stage is not needed
         self._ensure(i)
         return self._plus[i].upgrade_value(n)
-
-    def plus_index(self, i: int) -> int:
-        return i
-
-    def plus_object(self, i: int) -> PlusHierarchy:
-        self._ensure(i)
-        return self._plus[i]
 
 
 class DiagonalHierarchy(FiniteForHierarchy):
@@ -483,7 +424,7 @@ def dynamical(
     plus-chain needs start; finite-for needs m; the others take no parameters.
     """
     if kind == "classic":
-        return ClassicHierarchy(budget)
+        return ClassicHierarchy(budget, horizon)
     if kind == "plus-chain":
         if start is None:
             raise ValueError("plus-chain needs a start hierarchy")

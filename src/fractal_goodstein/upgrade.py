@@ -10,7 +10,7 @@ upgrade is infinite.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .hierarchy import FiniteHierarchy, Hierarchy, _coerce
 from .numerals import (
@@ -18,8 +18,8 @@ from .numerals import (
     BitBudget,
     ExtNat,
     INFINITY,
+    _phi_value,
     base_change,
-    decompose,
 )
 
 __all__ = [
@@ -29,44 +29,6 @@ __all__ = [
     "deep_base_change",
     "check_good_successor",
 ]
-
-
-def _phi_value(
-    up: Callable[[int], ExtNat],
-    b: int,
-    c: int,
-    m: int,
-    budget: BitBudget,
-    cache: dict[int, ExtNat],
-) -> ExtNat:
-    """Deep base change of m: hereditary base-b monomials rebuilt over c.
-
-    up() supplies upgrades of values below b (digits and small remainders);
-    exponents are rewritten recursively.  Infinite digit upgrades make the
-    whole value infinite.
-    """
-    if m < b:
-        return up(m)
-    hit = cache.get(m)
-    if hit is not None:
-        return hit
-    acc: ExtNat = 0
-    rest = m
-    # walk monomials iteratively; recursion depth is only the exponent tower
-    while rest >= b:
-        _, e, a, r = decompose(rest, b)
-        pe = _phi_value(up, b, c, e, budget, cache)
-        ua = up(a)
-        if pe is INFINITY or ua is INFINITY:
-            acc = INFINITY
-            break
-        acc = budget.check(acc + budget.pow(c, pe) * ua)
-        rest = r
-    if acc is not INFINITY and rest:
-        tail = up(rest)
-        acc = INFINITY if tail is INFINITY else budget.check(acc + tail)
-    cache[m] = acc
-    return acc
 
 
 class UpgradeContext:
@@ -129,7 +91,9 @@ class UpgradeContext:
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
         cache = self._phi_caches.setdefault((b, c), {})
-        return _phi_value(self._small_up, b, c, m, self.budget, cache)
+        return _phi_value(
+            self._small_up, b, c, m, self.budget, cache, self.source.min_base
+        )
 
     def _small_up(self, m: int) -> ExtNat:
         if m < len(self._up):

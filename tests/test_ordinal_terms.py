@@ -243,6 +243,19 @@ def test_fund_seq_psi_diagonal():
     assert fund_seq_cnt(u, 3) == psi(omega_monomial(OMEGA_ORD, CNT_ONE))
 
 
+def test_fund_seq_psi_diagonal_stops_at_a_fixed_point():
+    # every entry of p(W^2*1) is p(W*0) = 0: the descent repeats at once
+    u = as_cnt(parse_term("p(W^2*1)"))
+    assert fund_seq_cnt(u, 10**12) == CNT_ZERO
+    for term in ("p(W^2*1)", "p(W^(W^1*1)*1)", "p(W^2*1+W^1*1)"):
+        x = as_cnt(parse_term(term))
+        zeta = x.parts[0][0].arg
+        xi = CNT_ZERO
+        for k in range(5):
+            assert fund_seq_cnt(x, k) == xi, (term, k)
+            xi = psi(fund_seq(zeta, xi))
+
+
 def test_fund_seq_rejects_theta_atoms():
     with pytest.raises(OrdinalError):
         fund_seq_cnt(theta(natural_sum(BIG_OMEGA, ONE)), 2)
@@ -331,6 +344,26 @@ def test_parse_canonicalizes():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(OrdinalError):
         parse_term(bad)
+
+
+@pytest.mark.parametrize(
+    "piece",
+    ["v(0)", "v(1)", "v(W^1*1)", "v(W^1*1+v(W^1*1)+w)", "p(5)", "p(w+1)",
+     "p(W^1*1)", "p(W^2*1)", "p(W^(W^1*1)*1)", "p(p(W^2*1)*2+w+3)"],
+)
+def test_parse_multiplicity_is_repeated_addition(piece):
+    x = as_cnt(parse_term(piece))
+    total = CNT_ZERO
+    for m in range(6):
+        assert as_cnt(parse_term(f"{piece}*{m}")) == total, (piece, m)
+        total = cnt_add(total, x)
+
+
+def test_parse_large_multiplicity_in_one_step():
+    x = as_cnt(parse_term("p(W^2*1)*1000000"))
+    assert x.parts == ((as_cnt(parse_term("p(W^2*1)")).parts[0][0], 1000000),)
+    assert x.fin == 0
+    assert as_cnt(parse_term("v(0)*1000000")) == fin_cnt(1000000)
 
 
 def test_parse_multiplicity_cap():

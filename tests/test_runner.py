@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fractal_goodstein.cli import DEFAULT_MAX_STEPS
+from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import lift, term_to_str
 from fractal_goodstein.runner import (
@@ -252,6 +252,33 @@ def test_step_cap_tampering_is_rejected():
         assert report.problems[0].startswith("malformed header")
 
 
+@pytest.mark.parametrize("spec, seed, horizon", [("diagonal", 2, 6), ("finite-for: 4", 4, 3)])
+def test_a_run_under_a_short_horizon_verifies(spec, seed, horizon):
+    result = run(spec, seed, horizon=horizon)
+    assert result.outcome == "budget_exceeded"
+    assert f"needs more than {horizon} materialized bases" in result.detail
+    lines = result.trace_lines()
+    assert json.loads(lines[0])["caps"]["horizon"] == horizon
+    assert verify_trace(lines).ok
+
+
+def test_the_default_horizon_stays_out_of_the_header(certified_lines):
+    assert "horizon" not in json.loads(certified_lines[0])["caps"]
+
+
+def test_horizon_tampering_is_rejected():
+    lines = run("diagonal", 2, horizon=6).trace_lines()
+    for forged_horizon in (5, 7, 512):
+        forged = _mutate(lines, 0, "caps", forged_horizon, subkey="horizon")
+        assert not verify_trace(forged).ok
+    for forged_horizon in (0, -6, 6.5, "6", True, None):
+        report = verify_trace(_mutate(lines, 0, "caps", forged_horizon, subkey="horizon"))
+        assert not report.ok
+        assert report.problems[0].startswith("malformed header")
+    with pytest.raises(ValueError):
+        run("diagonal", 2, horizon=0)
+
+
 def test_replay_stops_one_step_past_the_trace(monkeypatch):
     # five rows of a run that never terminates, claimed as a finished run
     lines = run("classic", 4, max_steps=4, certify="both").trace_lines()
@@ -412,6 +439,16 @@ def test_cli_run_is_capped_by_default(tmp_path, capsys):
     assert len(lines) == DEFAULT_MAX_STEPS + 3
     assert cli("verify", str(p)) == 0
     capsys.readouterr()
+
+
+def test_cli_stepdown_is_capped_by_default(capsys):
+    # w*40 steps down through 2**41 - 1 entries without a cap
+    assert cli("ordinal", "stepdown", "+".join(["w"] * 40)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == DEFAULT_STEPDOWN_LIMIT + 1
+    assert lines[-1] != "0"  # cut short: a finished descent ends at 0
+    assert cli("ordinal", "stepdown", "w+w", "--limit", "2") == 0
+    assert capsys.readouterr().out.splitlines() == ["w+w", "w+1", "w"]
 
 
 def test_cli_ordinal_commands(capsys):

@@ -48,6 +48,24 @@ def test_d_sequence_requires_critical_point():
     assert d_sequence([2], 1, 6) == (27, 27**27 + 27)
 
 
+@pytest.mark.parametrize("base, index", [([3], 2), ([2, 6], 1)])
+def test_d_sequence_is_the_iterated_deep_change(base, index):
+    # d_sequence reads the bases the event at n appended; materializing past
+    # n first must not change it, and each entry must be the deep change of
+    # n into the one before
+    ph = PlusHierarchy(base, index)
+    oracle = UpgradeContext(base, ph.stage_at(24), fast_paths=False)
+    for n in range(2, 25):
+        if not ph.base.is_critical(n):
+            continue
+        ds = ph.d_sequence(n)
+        assert len(ds) == index + 1
+        assert ds == PlusHierarchy(base, index).d_sequence(n)
+        b = ph.base.upper_base(n)
+        for d, nd in zip(ds, ds[1:]):
+            assert nd == oracle.deep_base_change(b, d, n), (n, d)
+
+
 def test_plus_restriction():
     ph = PlusHierarchy([2], 1)
     assert ph.stage_at(6).restrict(27).known_elements() == (3, 27)
@@ -74,7 +92,7 @@ def test_classic_hierarchy():
     assert d.spec_string() == "classic"
     assert d.stage(0).known_elements() == (2,)
     assert d.stage(3).known_elements() == (5,)
-    assert d.plus_index(7) == 0
+    assert d.plus_object(7).index == 0
     assert d.step_bound(0) is None
     for n in (0, 1, 5, 100):
         assert d.upgrade_step(0, n) == base_change(n, 2, 3)
@@ -101,7 +119,7 @@ def test_ouroboros_stages():
     assert oo.spec_string() == "ouroboros"
     assert oo.stage(0).known_elements() == (2,)
     assert oo.stage(1).known_elements() == (3,)
-    assert oo.plus_index(2) == 2
+    assert oo.plus_object(2).index == 2
     assert oo.upgrade_step(0, 4) == 27
     assert ouroboros_stage(1).known_elements() == (3,)
 
