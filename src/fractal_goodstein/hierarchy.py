@@ -33,11 +33,15 @@ class HorizonError(Exception):
     """
 
 
-def _check_pair(prev: int, cur: int) -> None:
+def _check_increasing(prev: int, cur: int) -> None:
     if cur <= prev:
         raise ValueError(
             f"bases must be strictly increasing, got {_short(prev)} followed by {_short(cur)}"
         )
+
+
+def _check_pair(prev: int, cur: int) -> None:
+    _check_increasing(prev, cur)
     if cur % prev != 0:
         raise ValueError(
             f"{_short(cur)} is not a multiple of its predecessor {_short(prev)}"

@@ -277,22 +277,32 @@ def run(
     max_steps: int | None = None,
     budget: BitBudget | None = None,
     certify: str = "both",
-    horizon: int = DEFAULT_HORIZON,
+    horizon: int | None = None,
 ) -> RunResult:
     """Drive the upgrade-then-decrement process from a seed.
 
     certify picks the evidence attached to steps: "theta", "psi", "both" or
     "none".  Evidence generation that fails mid-run is recorded as a stop
-    with its reason and never aborts the value sequence itself.  The trace
-    header records the horizon when it is not the default.
+    with its reason and never aborts the value sequence itself.  A spec
+    string runs under ``horizon``, DEFAULT_HORIZON when it is None; a
+    hierarchy object carries its own budget and horizon, and a different
+    one passed here is an error.  The trace header records the horizon when
+    it is not the default.
     """
     if isinstance(hierarchy, str):
-        h = hierarchy_from_spec(hierarchy, budget, horizon)
+        h = hierarchy_from_spec(
+            hierarchy, budget, DEFAULT_HORIZON if horizon is None else horizon
+        )
     else:
         h = hierarchy
         if budget is not None and budget is not h.budget:
             raise ValueError(
                 "a hierarchy object carries its own budget; "
+                "pass a spec string to choose a different one"
+            )
+        if horizon is not None and horizon != h.horizon:
+            raise ValueError(
+                f"a hierarchy object carries its own horizon ({h.horizon}); "
                 "pass a spec string to choose a different one"
             )
     steps = _Steps(h, seed, certify, max_steps)

@@ -5,11 +5,13 @@ events: at each source base above the minimum it adds one multiple of the
 current maximum, and at each critical value (a multiple of the working
 base that is not itself a base) it adds i iterated deep base changes.
 Both growth rules end-extend the hierarchy, so every stage is an initial
-segment of the final successor.
+segment of the final successor, and both append multiples of the last
+base, so the bases a successor builds are never divided again.
 
 Upgrades into a successor built this way never escape to infinity, and
 they collapse to a single deep base change into the stage maximum; no
-candidate search is needed.
+candidate search is needed.  A dynamical hierarchy builds each successor
+once, even when the build dies.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .hierarchy import (
     DEFAULT_HORIZON,
     FiniteHierarchy,
     Hierarchy,
-    _check_pair,
+    _check_increasing,
     _coerce,
     HorizonError,
 )
 from .numerals import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     _short,
     BitBudget,
     ExtNat,
@@ -111,11 +114,20 @@ class PlusHierarchy(Hierarchy):
                 d = nd
 
     def _append(self, x: int, pos: int) -> None:
+        """Append a base built by _apply_event, checking horizon, budget and order.
+
+        x is a multiple of the last base by construction, so no modulus is
+        taken.  A source event appends ``c * (ph // c + 1)``.  A critical
+        event sits at ``u * (pos // u + 1)`` (_next_event), a multiple of its
+        upper base b = u: every monomial of its base-b expansion has exponent
+        >= 1 and there is no tail, so its deep change into d is a sum of
+        ``d**pe * ua`` with pe >= 1, a multiple of d; so is each iterate.
+        """
         if len(self._elems) >= self._hor:
             raise HorizonError(
                 f"{self!r} needs more than {self._hor} materialized bases"
             )
-        _check_pair(self._elems[-1], self.budget.check(x))
+        _check_increasing(self._elems[-1], self.budget.check(x))
         self._elems.append(x)
         self._added_at.append(pos)
 
@@ -248,6 +260,9 @@ class DynamicalHierarchy:
         self.horizon = horizon
         self._stages: list[Hierarchy] = [FiniteHierarchy([2]) if first is None else first]
         self._plus: list[PlusHierarchy] = []
+        # the death of the build of successor len(_plus), as type and args:
+        # its traceback's frames would keep the wide half-built bases alive
+        self._death: tuple[type[Exception], tuple] | None = None
 
     def spec_string(self) -> str:
         return self.kind
@@ -259,12 +274,26 @@ class DynamicalHierarchy:
         return plus
 
     def _ensure(self, i: int) -> None:
+        """Build the successors up to index i, each at most once.
+
+        The build of successor j depends only on stage j, its index, the
+        budget and the horizon, all fixed per object, so a retry after a
+        death would redo the same work and die the same way: it raises an
+        equal error (same type, same args) instead.
+        """
         while len(self._plus) <= i:
+            if self._death is not None:
+                kind, args = self._death
+                raise kind(*args)
             j = len(self._plus)
             p = PlusHierarchy(
                 self._stages[j], self._successor_index(j), self.budget, self.horizon
             )
-            nxt = self._next_stage(j, p)
+            try:
+                nxt = self._next_stage(j, p)
+            except (BudgetExceededError, HorizonError) as e:
+                self._death = (type(e), e.args)
+                raise
             self._plus.append(p)
             self._stages.append(nxt)
 

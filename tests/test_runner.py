@@ -262,6 +262,23 @@ def test_a_run_under_a_short_horizon_verifies(spec, seed, horizon):
     assert verify_trace(lines).ok
 
 
+def test_a_spec_string_runs_under_the_default_horizon_unless_given_one():
+    assert run("diagonal", 2, certify="none").horizon == 512
+    assert run("diagonal", 2, certify="none", horizon=None).horizon == 512
+    assert run("diagonal", 2, certify="none", horizon=6).horizon == 6
+
+
+def test_a_hierarchy_object_keeps_its_own_horizon():
+    with pytest.raises(ValueError) as exc:
+        run(DiagonalHierarchy(), 2, horizon=6)
+    assert "carries its own horizon (512)" in str(exc.value)
+    # the same horizon, or none, runs under the object's
+    by_object = run(DiagonalHierarchy(horizon=6), 2, horizon=6)
+    assert by_object.horizon == 6
+    assert by_object.detail == run("diagonal", 2, horizon=6).detail
+    assert run(DiagonalHierarchy(horizon=6), 2, horizon=None).horizon == 6
+
+
 def test_the_default_horizon_stays_out_of_the_header(certified_lines):
     assert "horizon" not in json.loads(certified_lines[0])["caps"]
 
@@ -335,6 +352,14 @@ def test_lower_bound_chain_k1():
     assert c.run_failure is not None
     assert c.run_failure.startswith("step 2:")
     assert "needs more than" in c.run_failure
+    # it dies inside the lazy index-2 successor, on the horizon, after the
+    # value reached 400 bits; under 16 bits it dies a step earlier
+    assert [v.bit_length() for v in c.run_values] == [3, 5, 400]
+    assert c.run_failure.endswith("needs more than 512 materialized bases")
+    tight = lower_bound_chain(1, budget=BitBudget(16))
+    assert [s.n for s in tight.steps] == [4, 1, 0] and tight.complete
+    assert tight.run_values == [4, 26]
+    assert tight.run_failure == "step 1: 4160**2 exceeds budget of 16 bits"
 
 
 # --- spec strings ----------------------------------------------------------------

@@ -1,9 +1,17 @@
 """Plus-construction stages and the dynamical base hierarchies built on them."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fractal_goodstein.hierarchy import FiniteHierarchy
-from fractal_goodstein.numerals import BitBudget, BudgetExceededError, base_change
+from fractal_goodstein.hierarchy import FiniteHierarchy, HorizonError
+from fractal_goodstein.numerals import (
+    DEFAULT_BUDGET,
+    BitBudget,
+    BudgetExceededError,
+    _phi_value,
+    base_change,
+)
+from fractal_goodstein.runner import run
 from fractal_goodstein.successors import (
     PlusHierarchy,
     d_sequence,
@@ -225,3 +233,95 @@ def test_plus_budget_is_respected():
     assert ph.stage_at(4).known_elements() == (3, 27)
     with pytest.raises(BudgetExceededError):
         ph.upgrade_value(4)
+
+
+# --- bases built as multiples, and successors built once ---------------------
+
+# the inputs of the lazy-deaths benchmark workload: every self-feeding kind,
+# and the terminated, budget-death and psi-stop outcomes
+LAZY_INPUTS = (
+    [("diagonal", 2)]
+    + [("ouroboros", s) for s in range(6)]
+    + [(f"finite-for: {m}", s) for m in (3, 4, 5) for s in range(m + 1)]
+)
+
+DIAGONAL_DEATH = "<982484-bit integer>**2 exceeds budget of 1048576 bits"
+
+
+@pytest.fixture
+def appends(monkeypatch):
+    """Every PlusHierarchy._append call, as (successor, base) pairs."""
+    calls = []
+    real = PlusHierarchy._append
+
+    def counted(self, x, pos):
+        calls.append((self, x))
+        return real(self, x, pos)
+
+    monkeypatch.setattr(PlusHierarchy, "_append", counted)
+    return calls
+
+
+def test_built_bases_revalidate_as_hierarchies(appends):
+    for spec, seed in LAZY_INPUTS:
+        run(spec, seed, certify="both")
+    run("plus-chain: 2,6", 5, max_steps=200, certify="none")
+    assert len(appends) > 100
+    # FiniteHierarchy runs the full _check_pair, modulus included
+    for p in {id(p): p for p, _ in appends}.values():
+        FiniteHierarchy(p.known_elements())
+
+
+def test_the_dying_diagonal_successor_revalidates():
+    p = PlusHierarchy(dynamical("diagonal").stage(2), 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        while p._extend_one():
+            pass
+    assert str(exc.value) == DIAGONAL_DEATH
+    bases = p.known_elements()
+    assert len(bases) == 22
+    assert max(b.bit_length() for b in bases) == 982484
+    FiniteHierarchy(bases)
+
+
+@given(st.integers(min_value=0, max_value=6**4 - 1), st.integers(min_value=2, max_value=64))
+def test_a_deep_change_keeps_multiples_of_the_base(n, c):
+    # every monomial of a multiple of b has an exponent >= 1 and there is no
+    # tail, so the change into c is a multiple of c: with up() as the digit
+    # upgrade of a real successor (digits 2..5 of base 6 are upgraded, and
+    # exponents stay at most 3 here), and as a plain base change
+    ph = PlusHierarchy([2, 6], 1)
+    for b, m in ((6, n - n % 6), (2, n % 16 - n % 2)):
+        v = _phi_value(ph.upgrade_value, b, c, m, DEFAULT_BUDGET, {}, ph.base.min_base)
+        assert v % c == 0, (b, c, m)
+        if c >= b:
+            assert _phi_value(None, b, c, m, DEFAULT_BUDGET, {}, b) % c == 0, (b, c, m)
+
+
+def test_a_dying_successor_is_built_once(appends):
+    result = run("diagonal", 2, certify="both")
+    # psi evidence meets the death first; the upgrade that follows meets the
+    # remembered one instead of building the index-2 successor of {4} again
+    assert len(appends) == 21
+    assert {(p.index, p.base.known_elements()) for p, _ in appends} == {(2, (4,))}
+    assert result.outcome == "budget_exceeded"
+    assert result.detail == DIAGONAL_DEATH
+    assert result.psi_stop == {"step": 2, "reason": DIAGONAL_DEATH}
+
+
+@pytest.mark.parametrize(
+    "kind, params, i, v",
+    [("diagonal", {}, 2, 4), ("finite-for", {"m": 4}, 1, 26), ("diagonal", {"horizon": 6}, 2, 4)],
+)
+def test_a_remembered_death_raises_the_same_error(appends, kind, params, i, v):
+    h = dynamical(kind, **params)
+    with pytest.raises((BudgetExceededError, HorizonError)) as first:
+        h.plus_object(i)
+    built = len(appends)
+    retries = [lambda: h.plus_object(i), lambda: h.upgrade_step(i, v), lambda: h.stage(i + 1)]
+    for retry in retries * 2:
+        with pytest.raises(type(first.value)) as again:
+            retry()
+        assert type(again.value) is type(first.value)
+        assert again.value.args == first.value.args
+    assert len(appends) == built
