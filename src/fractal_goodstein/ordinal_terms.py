@@ -9,11 +9,16 @@ The two collapse flavors live in disjoint universes that share this one
 skeleton: v-atoms certify termination, p-atoms witness lower bounds.
 Comparing a v-atom with a p-atom is a type error by design.
 
-All terms are immutable, canonical at construction, and sized; building
-a term above the node or depth budget raises BudgetExceededError.  The
-depth budget matters independently: iterated collapses nest fast, and a
-deep-but-narrow term would otherwise overflow the interpreter stack in
-comparison or printing long before the node count became suspicious.
+All terms are immutable and sized; building a term above the node or
+depth budget raises BudgetExceededError.  The depth budget matters
+independently: iterated collapses nest fast, and a deep-but-narrow term
+would otherwise overflow the interpreter stack in comparison or printing
+long before the node count became suspicious.
+
+Each distinct term is built once while a bounded per-class table holds
+it: a constructor call with the arguments of a stored term returns that
+term, and a full table is cleared.  Equality and hashing stay
+structural, so the table is a cache that no result depends on.
 """
 
 from __future__ import annotations
@@ -75,6 +80,30 @@ class OrdinalError(Exception):
     """Structural misuse of the term calculus."""
 
 
+# entries per class before its table is cleared
+_TABLE_LIMIT = 1 << 16
+
+
+class _Interned(type):
+    """Term classes whose constructor returns the stored term for known arguments."""
+
+    def __init__(cls, *args) -> None:
+        super().__init__(*args)
+        cls._table = {}
+
+    def __call__(cls, *args):
+        table = cls._table
+        term = table.get(args)
+        if term is None:
+            # a miss runs __init__, so checks and budget errors happen here,
+            # and a build that raises stores nothing
+            term = super().__call__(*args)
+            if len(table) >= _TABLE_LIMIT:
+                table.clear()
+            table[args] = term
+        return term
+
+
 def _check_size(size: int) -> int:
     if size > TERM_NODE_BUDGET:
         raise BudgetExceededError(
@@ -91,7 +120,7 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
-class Atom:
+class Atom(metaclass=_Interned):
     """A countable building block: omega, or a collapse of an OrdTerm."""
 
     __slots__ = ("kind", "arg", "size", "depth", "_hash")
@@ -120,7 +149,7 @@ class Atom:
         return f"{tag}({self.arg!r})"
 
 
-class CntTerm:
+class CntTerm(metaclass=_Interned):
     """Countable term: atom copies in strictly decreasing order plus a finite part."""
 
     __slots__ = ("parts", "fin", "size", "depth", "_hash")
@@ -156,7 +185,7 @@ class CntTerm:
         return term_to_str(lift(self))
 
 
-class OrdTerm:
+class OrdTerm(metaclass=_Interned):
     """Sum of Omega-monomials (exponents strictly decreasing) plus a countable tail."""
 
     __slots__ = ("monos", "tail", "size", "depth", "_hash")
@@ -290,6 +319,8 @@ def _compare_atoms(a: Atom, b: Atom) -> int:
 
 def compare_cnt(x: CntTerm, y: CntTerm) -> int:
     """Strict total order on countable terms of one flavor: -1, 0, or 1."""
+    if x is y:
+        return 0
     for (a1, m1), (a2, m2) in zip(x.parts, y.parts):
         c = _compare_atoms(a1, a2)
         if c:
@@ -305,6 +336,8 @@ def compare_cnt(x: CntTerm, y: CntTerm) -> int:
 
 def compare(x: OrdTerm, y: OrdTerm) -> int:
     """Strict total order on OrdTerms of one flavor: -1, 0, or 1."""
+    if x is y:
+        return 0
     for (e1, c1), (e2, c2) in zip(x.monos, y.monos):
         c = compare(e1, e2)
         if c:

@@ -80,7 +80,11 @@ def _cnt_str(c: CntTerm) -> str:
 
 
 def _parse_cnt(s: str) -> CntTerm:
-    return as_cnt(parse_term(s))
+    # only the one string _cnt_str writes for a term is accepted
+    c = as_cnt(parse_term(s))
+    if _cnt_str(c) != s:
+        raise ValueError(f"not a canonical term: {s!r:.40}")
+    return c
 
 
 def hierarchy_from_spec(

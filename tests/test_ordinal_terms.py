@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractal_goodstein import ordinal_terms
 from fractal_goodstein.numerals import BudgetExceededError
 from fractal_goodstein.ordinal_terms import (
     BIG_OMEGA,
@@ -11,7 +12,9 @@ from fractal_goodstein.ordinal_terms import (
     OMEGA,
     OMEGA_ORD,
     ONE,
+    TERM_DEPTH_BUDGET,
     ZERO,
+    Atom,
     Cofinality,
     CntTerm,
     OrdinalError,
@@ -41,6 +44,7 @@ from fractal_goodstein.ordinal_terms import (
     term_to_str,
     theta,
 )
+from fractal_goodstein.runner import run, verify_trace
 
 W_W = omega_monomial(BIG_OMEGA, CNT_ONE)  # Omega^Omega
 
@@ -383,3 +387,102 @@ def test_deep_terms_hit_the_depth_budget():
         cur = OMEGA
         for _ in range(100):
             cur = theta(natural_sum(BIG_OMEGA, lift(cur)))
+
+
+# --- construction table -------------------------------------------------------
+
+TERM_CLASSES = (Atom, CntTerm, OrdTerm)
+
+
+# the tables as collection left them: one epoch, module constants included
+_COLLECTED = {cls: dict(cls._table) for cls in TERM_CLASSES}
+
+
+def _clear_tables():
+    for cls in TERM_CLASSES:
+        cls._table.clear()
+
+
+def _restore_tables():
+    """Back to the collected tables, so that parsing meets the constants it returns."""
+    for cls in TERM_CLASSES:
+        cls._table.clear()
+        cls._table.update(_COLLECTED[cls])
+
+
+def _structure(t):
+    """The term as nested tuples: the structural reference, free of any table."""
+    if isinstance(t, Atom):
+        return (t.kind, None if t.arg is None else _structure(t.arg))
+    if isinstance(t, CntTerm):
+        return (tuple((_structure(a), m) for a, m in t.parts), t.fin)
+    return (tuple((_structure(e), _structure(c)) for e, c in t.monos), _structure(t.tail))
+
+
+def _rebuild(t):
+    """The same term, built bottom-up through the constructors."""
+    if isinstance(t, Atom):
+        return Atom(t.kind, None if t.arg is None else _rebuild(t.arg))
+    if isinstance(t, CntTerm):
+        return CntTerm(tuple((_rebuild(a), m) for a, m in t.parts), t.fin)
+    return OrdTerm(tuple((_rebuild(e), _rebuild(c)) for e, c in t.monos), _rebuild(t.tail))
+
+
+@settings(max_examples=200)
+@given(_cnt_terms(3, _atoms_psi), _cnt_terms(3, _atoms_psi))
+def test_each_distinct_term_is_one_object(a, b):
+    _restore_tables()  # no clear can fall inside this example
+    x, y = _rebuild(lift(a)), _rebuild(lift(b))
+    assert parse_term(term_to_str(x)) is x
+    assert (x is y) == (_structure(a) == _structure(b))
+
+
+@settings(max_examples=200)
+@given(_cnt_terms(3, _atoms_theta))
+def test_a_term_rebuilt_after_a_clear_is_equal_but_new(c):
+    _clear_tables()
+    again = _rebuild(c)
+    assert again == c and hash(again) == hash(c)
+    assert again is not c
+    assert compare_cnt(again, c) == 0 and compare(lift(again), lift(c)) == 0
+
+
+@settings(max_examples=300)
+@given(_cnt_terms(3, _atoms_theta), _cnt_terms(3, _atoms_theta), st.booleans())
+def test_compare_is_zero_exactly_on_equal_structure(a, b, clear):
+    if clear:
+        _clear_tables()  # equal terms are then distinct objects
+        b = _rebuild(b)
+    same = _structure(a) == _structure(b)
+    assert (compare_cnt(a, b) == 0) == same
+    assert (compare(lift(a), lift(b)) == 0) == same
+
+
+def test_an_over_budget_build_raises_each_time_and_stores_nothing():
+    deepest = omega_tower(TERM_DEPTH_BUDGET - 2)
+    assert deepest.depth == TERM_DEPTH_BUDGET
+    _clear_tables()
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            OrdTerm(((deepest, CNT_ONE),), CNT_ZERO)
+        assert all(not cls._table for cls in TERM_CLASSES)
+
+
+TABLE_RUNS = [("classic", 4, 60), ("finite-for: 3", 2, None)]
+
+
+@pytest.mark.parametrize("spec,seed,max_steps", TABLE_RUNS)
+def test_the_table_cannot_be_observed_in_traces(monkeypatch, spec, seed, max_steps):
+    def trace():
+        return run(spec, seed, max_steps=max_steps, certify="both").trace_lines()
+
+    lines = trace()
+    report = verify_trace(lines)
+    assert report.ok
+    _clear_tables()
+    assert trace() == lines
+    _clear_tables()
+    assert verify_trace(lines) == report
+    monkeypatch.setattr(ordinal_terms, "_TABLE_LIMIT", 8)  # clears again and again
+    assert trace() == lines
+    assert verify_trace(lines) == report

@@ -7,7 +7,7 @@ import pytest
 
 from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
 from fractal_goodstein.numerals import BitBudget
-from fractal_goodstein.ordinal_terms import lift, term_to_str
+from fractal_goodstein.ordinal_terms import as_cnt, lift, parse_term, term_to_str
 from fractal_goodstein.runner import (
     hierarchy_from_spec,
     lower_bound_chain,
@@ -181,6 +181,11 @@ TAMPERINGS = [
     ("value plus", lambda ls: _mutate(ls, 2, "value", "+3")),
     ("seed underscore", lambda ls: _mutate(ls, 0, "seed", "0_3")),
     ("psi n number", lambda ls: _mutate(ls, 1, "psi", 3, subkey="n")),
+    # other spellings of the true term: parse_term reads each as the term
+    # written, yet only the canonical string is accepted
+    ("theta plus zero", lambda ls: _mutate(ls, 1, "theta", "v(W^1*1+v(W^1*1)+w)+0")),
+    ("theta zero plus", lambda ls: _mutate(ls, 1, "theta", "0+v(W^1*1+v(W^1*1)+w)")),
+    ("psi u zero plus", lambda ls: _mutate(ls, 1, "psi", "0+p(W^1*1+1)", subkey="u")),
     ("version 1", lambda ls: _mutate(ls, 0, "version", 1)),
 ]
 
@@ -204,6 +209,17 @@ def test_trace_integers_are_canonical_hex():
         report = verify_trace(_mutate(lines, 2, "value", spelling))
         assert not report.ok, spelling
         assert "not a canonical hex integer" in report.problems[0], spelling
+
+
+def test_trace_terms_are_canonical():
+    lines = run("classic", 4, max_steps=30, certify="both").trace_lines()
+    theta = json.loads(lines[3])["theta"]
+    assert theta == "v(W^2*2+W^1*2+w)"
+    for spelling in (theta + "+0", "0+" + theta, "w+" + theta, "v(W^2*2+W^1*2+0+w)"):
+        assert as_cnt(parse_term(spelling)) == as_cnt(parse_term(theta)), spelling
+        report = verify_trace(_mutate(lines, 3, "theta", spelling))
+        assert not report.ok, spelling
+        assert "not a canonical term" in report.problems[0], spelling
 
 
 def test_version_1_traces_are_rejected_by_name(certified_lines):
