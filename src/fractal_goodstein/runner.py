@@ -87,6 +87,15 @@ def _parse_cnt(s: str) -> CntTerm:
     return c
 
 
+def _claimed_cnt(s: str, replayed: CntTerm | None) -> CntTerm:
+    # printing is injective (parse_term(term_to_str(t)) == t), so text equal to
+    # the replayed term's printing is canonical and names exactly that term;
+    # any other text is parsed
+    if replayed is not None and s == _cnt_str(replayed):
+        return replayed
+    return _parse_cnt(s)
+
+
 def hierarchy_from_spec(
     spec: str,
     budget: BitBudget | None = None,
@@ -344,6 +353,10 @@ def verify_trace(source: str | Iterable[str]) -> VerifyReport:
     death detail and both evidence stops, compared whole).  On its own, from
     the claimed terms, the verifier also checks that the theta chain strictly
     descends and that the psi chain links and stays at or below the value.
+    A claimed term is matched by its text against the canonical printing of
+    the replayed term, and parsed only on a mismatch.  That is sound because
+    printing is injective (``parse_term(term_to_str(t)) == t``): equal text
+    names the replayed term itself, and is canonical by definition.
     The replay runs at most one step past the last row.
     """
     try:
@@ -399,7 +412,7 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
             return False
         if row.get("base") != rec.base:
             problems.append(f"{where}: base does not recompute")
-        theta = _parse_cnt(row["theta"]) if "theta" in row else None
+        theta = _claimed_cnt(row["theta"], rec.theta) if "theta" in row else None
         if theta != rec.theta:
             problems.append(f"{where}: theta certificate does not recompute")
         if theta is not None:
@@ -408,7 +421,7 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
             prev_theta = theta
         n = u = None
         if "psi" in row:
-            n, u = _str_int(row["psi"]["n"]), _parse_cnt(row["psi"]["u"])
+            n, u = _str_int(row["psi"]["n"]), _claimed_cnt(row["psi"]["u"], rec.psi_u)
         if (n, u) != (rec.psi_n, rec.psi_u):
             problems.append(f"{where}: psi witness does not recompute")
         if n is not None:

@@ -222,6 +222,42 @@ def test_trace_terms_are_canonical():
         assert "not a canonical term" in report.problems[0], spelling
 
 
+@pytest.mark.parametrize(
+    "spec,seed,psi_rows",
+    [("classic", 3, 2), ("ouroboros", 3, 6), ("finite-for: 3", 2, 4)],
+)
+def test_replayed_terms_are_matched_without_parsing(monkeypatch, spec, seed, psi_rows):
+    # text equal to the replayed term's printing needs no parse
+    r = run(spec, seed, certify="both")
+    assert r.outcome == "terminated"
+    assert all(rec.theta is not None for rec in r.records)
+    assert sum(rec.psi_u is not None for rec in r.records) == psi_rows
+
+    def no_parse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr("fractal_goodstein.ordinal_terms.parse_term", no_parse)
+    monkeypatch.setattr("fractal_goodstein.runner.parse_term", no_parse)
+    assert verify_trace(r.trace_lines()).ok
+
+
+def test_a_canonical_but_wrong_term_is_still_checked():
+    # the claimed term differs from the replay, so it is parsed, and the
+    # descent and linkage checks run on it and not on the replayed term
+    lines = run("classic", 3, certify="both").trace_lines()
+    forged = _mutate(lines, 3, "theta", json.loads(lines[2])["theta"])
+    assert verify_trace(forged).problems == [
+        "step 2: theta certificate does not recompute",
+        "step 2: theta certificate fails to decrease",
+    ]
+    lines = run("ouroboros", 3, certify="both").trace_lines()
+    forged = _mutate(lines, 4, "psi", json.loads(lines[5])["psi"]["u"], subkey="u")
+    assert verify_trace(forged).problems == [
+        "step 3: psi witness does not recompute",
+        "step 3: psi witness chain broken",
+    ]
+
+
 def test_version_1_traces_are_rejected_by_name(certified_lines):
     report = verify_trace(_mutate(certified_lines, 0, "version", 1))
     assert not report.ok
