@@ -17,13 +17,15 @@ long before the node count became suspicious.
 
 Each distinct term is built once while a bounded per-class table holds
 it: a constructor call with the arguments of a stored term returns that
-term, and a full table is cleared.  Equality and hashing stay
-structural, so the table is a cache that no result depends on.
+term, and a full table is cleared back to the module constants.
+Equality and hashing stay structural, so the table is a cache that no
+result depends on.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from typing import Iterator, Union
 
@@ -90,6 +92,7 @@ class _Interned(type):
     def __init__(cls, *args) -> None:
         super().__init__(*args)
         cls._table = {}
+        cls._seed = {}  # what a cleared table starts from: the module constants
 
     def __call__(cls, *args):
         table = cls._table
@@ -100,6 +103,7 @@ class _Interned(type):
             term = super().__call__(*args)
             if len(table) >= _TABLE_LIMIT:
                 table.clear()
+                table.update(cls._seed)
             table[args] = term
         return term
 
@@ -143,10 +147,7 @@ class Atom(metaclass=_Interned):
         return self._hash
 
     def __repr__(self) -> str:
-        if self.kind == "omega":
-            return "w"
-        tag = "v" if self.kind == "theta" else "p"
-        return f"{tag}({self.arg!r})"
+        return _atom_to_str(self)
 
 
 class CntTerm(metaclass=_Interned):
@@ -232,6 +233,12 @@ ZERO = OrdTerm((), CNT_ZERO)
 ONE = OrdTerm((), CNT_ONE)
 OMEGA_ORD = OrdTerm((), OMEGA)
 BIG_OMEGA = OrdTerm(((ONE, CNT_ONE),), CNT_ZERO)
+
+# the tables now hold exactly the constants and their subterms; a term
+# rebuilt after a clear is then the constant itself, and the `is` fast
+# paths keep hitting
+for _cls in (Atom, CntTerm, OrdTerm):
+    _cls._seed = dict(_cls._table)
 
 
 def fin_cnt(n: int) -> CntTerm:
@@ -350,91 +357,66 @@ def compare(x: OrdTerm, y: OrdTerm) -> int:
     return compare_cnt(x.tail, y.tail)
 
 
-def _cnt_max(*terms: CntTerm) -> CntTerm:
-    best = terms[0]
-    for t in terms[1:]:
-        if compare_cnt(best, t) < 0:
-            best = t
-    return best
-
-
 def max_coefficient(x: OrdTerm) -> CntTerm:
     """Largest countable coefficient occurring hereditarily in x."""
     best = x.tail
     for exp, coeff in x.monos:
-        best = _cnt_max(best, coeff, max_coefficient(exp))
+        for c in (coeff, max_coefficient(exp)):
+            if compare_cnt(best, c) < 0:
+                best = c
     return best
 
 
 # --- sums ----------------------------------------------------------------
 
 
-def natural_sum_cnt(x: CntTerm, y: CntTerm) -> CntTerm:
-    """Commutative merge of countable terms."""
-    merged: list[tuple[Atom, int]] = []
+def _merge(xs: tuple, ys: tuple, cmp, add) -> tuple:
+    """Natural sum of strictly decreasing (key, coefficient) pieces: equal keys add."""
+    merged = []
     i = j = 0
-    while i < len(x.parts) and j < len(y.parts):
-        a1, m1 = x.parts[i]
-        a2, m2 = y.parts[j]
-        c = _compare_atoms(a1, a2)
+    while i < len(xs) and j < len(ys):
+        c = cmp(xs[i][0], ys[j][0])
         if c == 0:
-            merged.append((a1, m1 + m2))
+            merged.append((xs[i][0], add(xs[i][1], ys[j][1])))
             i += 1
             j += 1
         elif c > 0:
-            merged.append((a1, m1))
+            merged.append(xs[i])
             i += 1
         else:
-            merged.append((a2, m2))
+            merged.append(ys[j])
             j += 1
-    merged.extend(x.parts[i:])
-    merged.extend(y.parts[j:])
-    return CntTerm(tuple(merged), x.fin + y.fin)
+    return (*merged, *xs[i:], *ys[j:])
+
+
+def _absorb(xs: tuple, ys: tuple, cmp, add) -> tuple:
+    """Ordinal sum of pieces, ys nonempty: xs below the lead of ys vanish, an equal key adds."""
+    lead, coeff = ys[0]
+    for i, (key, c) in enumerate(xs):
+        order = cmp(key, lead)
+        if order < 0:
+            return xs[:i] + ys
+        if order == 0:
+            return (*xs[:i], (lead, add(c, coeff)), *ys[1:])
+    return xs + ys
+
+
+def natural_sum_cnt(x: CntTerm, y: CntTerm) -> CntTerm:
+    """Commutative merge of countable terms."""
+    return CntTerm(_merge(x.parts, y.parts, _compare_atoms, operator.add), x.fin + y.fin)
 
 
 def natural_sum(x: OrdTerm, y: OrdTerm) -> OrdTerm:
     """Commutative merge of OrdTerms, strictly monotone in both arguments."""
-    merged: list[tuple[OrdTerm, CntTerm]] = []
-    i = j = 0
-    while i < len(x.monos) and j < len(y.monos):
-        e1, c1 = x.monos[i]
-        e2, c2 = y.monos[j]
-        c = compare(e1, e2)
-        if c == 0:
-            merged.append((e1, natural_sum_cnt(c1, c2)))
-            i += 1
-            j += 1
-        elif c > 0:
-            merged.append((e1, c1))
-            i += 1
-        else:
-            merged.append((e2, c2))
-            j += 1
-    merged.extend(x.monos[i:])
-    merged.extend(y.monos[j:])
-    return OrdTerm(tuple(merged), natural_sum_cnt(x.tail, y.tail))
+    monos = _merge(x.monos, y.monos, compare, natural_sum_cnt)
+    return OrdTerm(monos, natural_sum_cnt(x.tail, y.tail))
 
 
 def cnt_add(x: CntTerm, y: CntTerm) -> CntTerm:
     """Ordinal addition on countable terms: x-pieces below y's lead are absorbed."""
     if not y.parts:
         return CntTerm(x.parts, x.fin + y.fin)
-    lead = y.parts[0][0]
-    kept: list[tuple[Atom, int]] = []
-    boundary = 0
-    for atom, mult in x.parts:
-        c = _compare_atoms(atom, lead)
-        if c > 0:
-            kept.append((atom, mult))
-        elif c == 0:
-            boundary = mult
-            break
-        else:
-            break
-    rest = list(y.parts)
-    if boundary:
-        rest[0] = (lead, rest[0][1] + boundary)
-    return CntTerm(tuple(kept) + tuple(rest), y.fin)
+    return CntTerm(_absorb(x.parts, y.parts, _compare_atoms, operator.add), y.fin)
 
 
 def ord_add(x: OrdTerm, y: OrdTerm) -> OrdTerm:
@@ -443,22 +425,7 @@ def ord_add(x: OrdTerm, y: OrdTerm) -> OrdTerm:
         return x
     if not y.monos:
         return OrdTerm(x.monos, cnt_add(x.tail, y.tail))
-    lead = y.monos[0][0]
-    kept: list[tuple[OrdTerm, CntTerm]] = []
-    boundary: CntTerm | None = None
-    for exp, coeff in x.monos:
-        c = compare(exp, lead)
-        if c > 0:
-            kept.append((exp, coeff))
-        elif c == 0:
-            boundary = coeff
-            break
-        else:
-            break
-    rest = list(y.monos)
-    if boundary is not None:
-        rest[0] = (lead, cnt_add(boundary, rest[0][1]))
-    return OrdTerm(tuple(kept) + tuple(rest), y.tail)
+    return OrdTerm(_absorb(x.monos, y.monos, compare, cnt_add), y.tail)
 
 
 def plus_big_omega(x: OrdTerm) -> OrdTerm:
@@ -486,9 +453,7 @@ def _cofinality_cnt(c: CntTerm) -> Cofinality:
 
 def cofinality(x: OrdTerm) -> Cofinality:
     """Which index type the fundamental sequence of x consumes."""
-    if not x.monos:
-        return _cofinality_cnt(x.tail)
-    if not x.tail.is_zero():
+    if not x.monos or not x.tail.is_zero():
         return _cofinality_cnt(x.tail)
     alpha, beta = x.monos[-1]
     if beta.fin == 0:
@@ -578,8 +543,6 @@ def fund_seq(x: OrdTerm, idx: Index) -> OrdTerm:
         return _pred_ord(x)  # successors step to their predecessor
     if not x.tail.is_zero():
         return OrdTerm(x.monos, fund_seq_cnt(x.tail, idx))
-    if not x.monos:
-        return lift(fund_seq_cnt(x.tail, idx))
     prefix = x.monos[:-1]
     alpha, beta = x.monos[-1]
     if beta.fin == 0:
@@ -613,12 +576,7 @@ def big_f(n: int) -> int:
     """Length of the iterated descent starting at p(Omega^^n)."""
     if n < 0:
         raise OrdinalError("big_f needs a nonnegative argument")
-    cur = lift(psi(omega_tower(n)))
-    i = 0
-    while not cur.is_zero():
-        cur = fund_seq(cur, i + 1)
-        i += 1
-    return i
+    return len(step_down(psi(omega_tower(n)))) - 1
 
 
 def is_psi_normal_form(arg: OrdTerm) -> bool:
@@ -772,9 +730,6 @@ class _Parser:
 
 def parse_term(text: str) -> OrdTerm:
     """Parse the term grammar; inverse of term_to_str on its outputs."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
     parser = _Parser(text)
     out = parser.parse_sum()
     if parser.peek() is not None:

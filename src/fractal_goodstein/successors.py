@@ -107,11 +107,19 @@ class PlusHierarchy(Hierarchy):
         else:
             b = self.base.upper_base(pos)
             d = self._elems[-1]
-            for _ in range(self.index):
-                nd = self._phi(b, d, pos)
-                assert nd is not INFINITY
-                self._append(nd, pos)
-                d = nd
+            start = len(self._elems)
+            try:
+                for _ in range(self.index):
+                    nd = self._phi(b, d, pos)
+                    assert nd is not INFINITY
+                    self._append(nd, pos)
+                    d = nd
+            except (BudgetExceededError, HorizonError):
+                # the event applies whole or not at all, so a retry starts
+                # again from d_0; the message, formatted before this, still
+                # names the partial successor, as traces always recorded it
+                del self._elems[start:], self._added_at[start:]
+                raise
 
     def _append(self, x: int, pos: int) -> None:
         """Append a base built by _apply_event, checking horizon, budget and order.
@@ -277,9 +285,10 @@ class DynamicalHierarchy:
         """Build the successors up to index i, each at most once.
 
         The build of successor j depends only on stage j, its index, the
-        budget and the horizon, all fixed per object, so a retry after a
-        death would redo the same work and die the same way: it raises an
-        equal error (same type, same args) instead.
+        budget and the horizon, all fixed per object, and an event that dies
+        leaves none of its bases behind, so a retry after a death would redo
+        the same work and die the same way: it raises an equal error (same
+        type, same args) instead.
         """
         while len(self._plus) <= i:
             if self._death is not None:

@@ -14,6 +14,7 @@ from fractal_goodstein.interpretations import (
     fs_witness,
     majorize_witness,
 )
+from fractal_goodstein.numerals import BitBudget, BudgetExceededError
 from fractal_goodstein.ordinal_terms import (
     OrdinalError,
     as_cnt,
@@ -26,6 +27,7 @@ from fractal_goodstein.ordinal_terms import (
     plus_big_omega,
     term_to_str,
 )
+from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext
 
 
@@ -222,6 +224,29 @@ def test_majorize_witness_guards():
     assert "out of range for this hierarchy pair" in str(exc.value)
     with pytest.raises(OrdinalError):
         majorize_witness([2, 6], 0, 10, 1)  # 10 is not in normal form
+
+
+def test_majorize_witness_over_several_bases():
+    # every witness found over the k-th successor reads as the entry it claims;
+    # among them are the digit-witness recursion (8 over {2, 6}) and both
+    # coefficient branches of _fs_witness: a limit (12 over {2, 6}) and a
+    # finite one (6 over {3, 12}, index 1)
+    found = set()
+    for base in ([2, 6], [3, 12], [3, 6, 12]):
+        side_b = PsiInterpretation(base)
+        for k in (1, 2):
+            plus = PlusHierarchy(base, k, budget=BitBudget(1 << 12))
+            side_c = PsiInterpretation(plus)
+            for n in range(100):
+                for i in range(min(base[0], k + 2)):
+                    try:
+                        w = majorize_witness(base, k, n, i, plus=plus)
+                    except (OrdinalError, BudgetExceededError):
+                        continue  # n not in normal form, no digit witness, or too wide
+                    assert side_c.value(w) == fund_seq_cnt(side_b.value(n), i), (base, k, n, i)
+                    found.add((tuple(base), k, n, i))
+    assert {((2, 6), 1, 8, 0), ((2, 6), 1, 12, 0), ((3, 12), 1, 6, 1)} <= found
+    assert len(found) == 1114
 
 
 # --- digit reading boundaries ------------------------------------------------

@@ -184,6 +184,8 @@ def test_ord_add_absorbs_on_the_left():
     assert ord_add(ONE, OMEGA_ORD) == OMEGA_ORD
     assert ord_add(fin_ord(3), BIG_OMEGA) == BIG_OMEGA
     assert s(ord_add(BIG_OMEGA, ONE)) == "W^1*1+1"
+    # equal exponents add their coefficients as ordinals: W + W*w = W*(1+w)
+    assert s(ord_add(BIG_OMEGA, omega_monomial(ONE, OMEGA))) == "W^1*w"
     assert cnt_add(CNT_ONE, OMEGA) == OMEGA
     assert s(cnt_add(OMEGA, CNT_ONE)) == "w+1"
 
@@ -200,6 +202,42 @@ def test_natural_sum_dominates_both_arguments(a, b):
     total = natural_sum_cnt(a, b)
     assert compare_cnt(total, a) >= 0
     assert compare_cnt(total, b) >= 0
+
+
+# exponents in decreasing order: W, w, 2, 1
+_EXPONENTS = (BIG_OMEGA, OMEGA_ORD, fin_ord(2), ONE)
+
+
+def _ord_terms(family):
+    """Small OrdTerms: a monomial per exponent in _EXPONENTS (or none), then a tail."""
+
+    def build(coeffs, tail):
+        monos = tuple((e, c) for e, c in zip(_EXPONENTS, coeffs) if not c.is_zero())
+        return OrdTerm(monos, tail)
+
+    coeffs = st.lists(_cnt_terms(1, family), min_size=len(_EXPONENTS), max_size=len(_EXPONENTS))
+    return st.builds(build, coeffs, _cnt_terms(2, family))
+
+
+# built once: a strategy built inside each example is validated each time
+ORD_TRIPLES = {
+    family.__name__: st.tuples(_ord_terms(family), _ord_terms(family), _ord_terms(family))
+    for family in (_atoms_theta, _atoms_psi)
+}
+
+
+@pytest.mark.parametrize("family", ORD_TRIPLES)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_sum_laws_on_ord_terms(family, data):
+    x, y, z = data.draw(ORD_TRIPLES[family])
+    assert ord_add(ord_add(x, y), z) == ord_add(x, ord_add(y, z))
+    # strictly monotone on the right: x + y against x + z orders as y against z
+    assert compare(ord_add(x, y), ord_add(x, z)) == compare(y, z)
+    assert compare(ord_add(x, y), y) >= 0
+    assert natural_sum(x, y) == natural_sum(y, x)
+    assert natural_sum(natural_sum(x, y), z) == natural_sum(x, natural_sum(y, z))
+    assert compare(natural_sum(x, y), natural_sum(x, z)) == compare(y, z)
 
 
 def test_plus_big_omega_and_max_coefficient():
@@ -466,6 +504,23 @@ def test_an_over_budget_build_raises_each_time_and_stores_nothing():
         with pytest.raises(BudgetExceededError):
             OrdTerm(((deepest, CNT_ONE),), CNT_ZERO)
         assert all(not cls._table for cls in TERM_CLASSES)
+
+
+def test_a_cleared_table_keeps_the_constants(monkeypatch):
+    monkeypatch.setattr(ordinal_terms, "_TABLE_LIMIT", 16)
+    try:
+        for n in range(100):  # clears the CntTerm and OrdTerm tables again and again
+            fin_ord(n)
+            omega_monomial(fin_ord(n + 1), OMEGA)
+        assert all(len(cls._table) < 16 for cls in TERM_CLASSES)
+        x = OrdTerm((), CntTerm((), 0))
+        assert x is ZERO
+        assert parse_term(term_to_str(x)) is x
+        assert lift(CntTerm(((Atom("omega", None), 1),), 0)) is OMEGA_ORD
+        y = omega_monomial(omega_monomial(ONE, CNT_ONE), OMEGA)
+        assert parse_term(term_to_str(y)) is y
+    finally:
+        _restore_tables()
 
 
 TABLE_RUNS = [("classic", 4, 60), ("finite-for: 3", 2, None)]

@@ -4,6 +4,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
 from fractal_goodstein.numerals import BitBudget
@@ -549,3 +550,26 @@ def test_cli_interp(capsys):
     assert capsys.readouterr().out.strip() == "v(W^(W^1*1)*1)"
     assert cli("interp", "u", "--hierarchy", "finite: 2,6", "--n", "10") == 0
     assert capsys.readouterr().out.strip() == "p(W^1*1+p(W^(W^1*1)*1))"
+
+
+CERTIFY_SPECS = ["classic", "plus-chain: 2,6", "finite-for: 3", "ouroboros", "diagonal", "finite: 3,12"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(CERTIFY_SPECS),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=8, max_value=4096),
+    st.integers(min_value=2, max_value=16) | st.just(512),
+)
+def test_values_do_not_depend_on_the_certify_mode(spec, seed, bits, horizon):
+    # evidence can die inside a successor that the value column goes on to
+    # use, on the budget or on the horizon (both end as budget_exceeded)
+    def ending(certify):
+        try:
+            r = run(spec, seed, max_steps=40, budget=BitBudget(bits), certify=certify, horizon=horizon)
+        except ValueError as e:  # a seed above the first stage's bound
+            return str(e)
+        return [rec.value for rec in r.records], r.outcome, r.detail
+
+    assert ending("none") == ending("both")

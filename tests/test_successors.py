@@ -279,9 +279,25 @@ def test_the_dying_diagonal_successor_revalidates():
             pass
     assert str(exc.value) == DIAGONAL_DEATH
     bases = p.known_elements()
-    assert len(bases) == 22
-    assert max(b.bit_length() for b in bases) == 982484
+    assert len(bases) == 21
+    assert max(b.bit_length() for b in bases) == 491242
     FiniteHierarchy(bases)
+
+
+def test_a_dying_critical_event_applies_whole_or_not_at_all():
+    # the event at 48 appends two iterated deep changes; the second dies, and
+    # the first goes with it, so a retry starts the event again from d_0
+    p = PlusHierarchy(dynamical("diagonal").stage(2), 2)
+    with pytest.raises(BudgetExceededError) as first:
+        while p._extend_one():
+            pass
+    bases = p.known_elements()
+    assert all(pos <= p._frontier for pos in p._added_at)
+    with pytest.raises(BudgetExceededError) as again:
+        p._extend_one()
+    assert again.value.args == first.value.args
+    assert p.known_elements() == bases
+    assert len(bases) == 21
 
 
 @given(st.integers(min_value=0, max_value=6**4 - 1), st.integers(min_value=2, max_value=64))
