@@ -99,7 +99,6 @@ class ThetaInterpretation:
         self.base = _coerce(base)
         self._upper: dict[int, OrdTerm] = {}
         self._value: dict[int, CntTerm] = {}
-        self._star: dict[int, CntTerm] = {}
 
     def upper_base_term(self, b: int, n: int) -> OrdTerm:
         """The uncountable reading of n forced along the single base b."""
@@ -135,22 +134,16 @@ class ThetaInterpretation:
         Comparison happens after adding one uncountable step to both sides,
         so a countable difference on top of a shared spine does not count.
         """
-        hit = self._star.get(n)
-        if hit is not None:
-            return hit
         target = plus_big_omega(self.upper(n))
         below: list[int] = []
         for x in self.base.elements_from(0):
             if x >= n:
                 break
             below.append(x)
-        out = CNT_ZERO
         for b_star in reversed(below):
             if compare(plus_big_omega(self.upper(b_star)), target) >= 0:
-                out = self.value(b_star)
-                break
-        self._star[n] = out
-        return out
+                return self.value(b_star)
+        return CNT_ZERO
 
     def value(self, n: int) -> CntTerm:
         hit = self._value.get(n)
@@ -339,7 +332,8 @@ def majorize_witness(
     B = _coerce(base)
     if plus is None:
         plus = PlusHierarchy(B, k, budget=budget)
-    if not 0 <= i < min(B.min_base, k + 2):
+    bound = min(B.min_base, k + 2)
+    if not 0 <= i < bound:
         raise ValueError(f"index {i} is out of range for this hierarchy pair")
     if n == 0:
         return 0
@@ -352,25 +346,33 @@ def majorize_witness(
         return i
     side_c = PsiInterpretation(plus)
     zeta = side_b.upper(n)
-    cof = cofinality(zeta)
-    if cof is not Cofinality.BIG_OMEGA:
-        pre = {plus.upgrade_value(x): x for x in digits(n, B.upper_base(n))}
+    critical = cofinality(zeta) is Cofinality.BIG_OMEGA
+    if critical:
+        if not B.is_critical(n):
+            raise OrdinalError(
+                f"{_short(n)} reads as uncountably cofinal but is not critical"
+            )
+        d = plus.d_sequence(n)
+    # each upgraded digit of n, back to the digit it came from
+    pre = {plus.upgrade_value(x): x for x in digits(n, B.upper_base(n))}
 
-        def step_digit(v: int) -> int:
+    def digit_witness(j: int) -> Callable[[int], int] | None:
+        """Steps an upgraded digit down by index j; None when j is out of range."""
+        if j >= bound:
+            return None
+
+        def witness(v: int) -> int:
             if v not in pre:
                 raise OrdinalError(f"no digit witness for {_short(v)}")
-            return majorize_witness(B, k, pre[v], i, budget, plus)
+            return majorize_witness(B, k, pre[v], j, budget, plus)
 
+        return witness
+
+    if not critical:
         s = plus.upgrade_value(n)
         chosen = plus.chosen_base(n)
         assert chosen is not None
-        return fs_witness(side_c, chosen, s, IotaProvenance(i, i, step_digit), budget)
-    if not B.is_critical(n):
-        raise OrdinalError(
-            f"{_short(n)} reads as uncountably cofinal but is not critical"
-        )
-    d = plus.d_sequence(n)
-    pre = {plus.upgrade_value(x): x for x in digits(n, B.upper_base(n))}
+        return fs_witness(side_c, chosen, s, IotaProvenance(i, i, digit_witness(i)), budget)
     cur = 0
     for j in range(i):
         iota_val = side_c.value(cur)
@@ -386,15 +388,7 @@ def majorize_witness(
                     f"no witness for countable entry {t!r} at round {j}"
                 )
             continue
-        witness = None
-        if cur < min(B.min_base, k + 2):
-            bound_i = cur
-
-            def witness(v: int, _i: int = bound_i) -> int:
-                if v not in pre:
-                    raise OrdinalError(f"no digit witness for {_short(v)}")
-                return majorize_witness(B, k, pre[v], _i, budget, plus)
-
         s = d[j + 1] if j < k else plus.upgrade_value(n)
-        cur = fs_witness(side_c, d[j], s, IotaProvenance(iota_val, cur, witness), budget)
+        iota = IotaProvenance(iota_val, cur, digit_witness(cur))
+        cur = fs_witness(side_c, d[j], s, iota, budget)
     return cur

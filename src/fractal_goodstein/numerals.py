@@ -7,7 +7,7 @@ wide that downstream work becomes infeasible.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -71,6 +71,7 @@ def _short(n: int) -> str:
 DEFAULT_BUDGET = BitBudget()
 
 
+@total_ordering
 class Infinity:
     """Positive infinity for extended natural arithmetic.
 
@@ -98,25 +99,6 @@ class Infinity:
     def __lt__(self, other: object):
         if isinstance(other, (int, Infinity)):
             return False
-        return NotImplemented
-
-    def __le__(self, other: object):
-        if isinstance(other, Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other: object):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other: object):
-        if isinstance(other, (int, Infinity)):
-            return True
         return NotImplemented
 
 
@@ -240,7 +222,6 @@ def _phi_value(
     c: int,
     m: int,
     budget: BitBudget,
-    cache: dict[int, ExtNat],
     low: int,
 ) -> ExtNat:
     """Deep base change of m: hereditary base-b monomials rebuilt over c.
@@ -253,9 +234,6 @@ def _phi_value(
     """
     if m < b:
         return m if m < low else up(m)
-    hit = cache.get(m)
-    if hit is not None:
-        return hit
     acc: ExtNat = 0
     rest = m
     # walk monomials iteratively; recursion depth is only the exponent tower
@@ -264,7 +242,7 @@ def _phi_value(
         if e < b:  # most exponents are single digits: no recursive call
             pe = e if e < low else up(e)
         else:
-            pe = _phi_value(up, b, c, e, budget, cache, low)
+            pe = _phi_value(up, b, c, e, budget, low)
         ua = a if a < low else up(a)
         if pe is INFINITY or ua is INFINITY:
             acc = INFINITY
@@ -274,7 +252,6 @@ def _phi_value(
     if acc is not INFINITY and rest:
         tail = rest if rest < low else up(rest)
         acc = INFINITY if tail is INFINITY else budget.check(acc + tail)
-    cache[m] = acc
     return acc
 
 
@@ -290,7 +267,7 @@ def base_change(n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET) -> i
     if n < 0:
         raise ValueError(f"cannot base-change {n}")
     budget.check(n)
-    return _phi_value(None, b, c, n, budget, {}, b)
+    return _phi_value(None, b, c, n, budget, b)
 
 
 def superexp(x: int, y: int, budget: BitBudget = DEFAULT_BUDGET) -> int:

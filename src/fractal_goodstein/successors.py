@@ -73,7 +73,6 @@ class PlusHierarchy(Hierarchy):
         self._added_at = [0]
         self._frontier = self.base.min_base
         self._no_more_events = False
-        self._phi_caches: dict[tuple[int, int], dict[int, ExtNat]] = {}
 
     def __repr__(self) -> str:
         inner = ", ".join(map(_short, self._elems))
@@ -198,12 +197,10 @@ class PlusHierarchy(Hierarchy):
         """
         if n < 0:
             raise ValueError("upgrades are defined on nonnegative integers")
-        if n < self.base.min_base:
+        c = self.chosen_base(n)
+        if c is None:
             return n
-        self._advance_to(n)
-        b = self.base.upper_base(n)
-        c = self._elems[bisect_right(self._added_at, n) - 1]
-        val = self._phi(b, c, n)
+        val = self._phi(self.base.upper_base(n), c, n)
         assert val is not INFINITY
         return val
 
@@ -215,10 +212,7 @@ class PlusHierarchy(Hierarchy):
         return self._elems[bisect_right(self._added_at, n) - 1]
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
-        cache = self._phi_caches.setdefault((b, c), {})
-        return _phi_value(
-            self.upgrade_value, b, c, m, self.budget, cache, self.base.min_base
-        )
+        return _phi_value(self.upgrade_value, b, c, m, self.budget, self.base.min_base)
 
 
 def ouroboros_stage(

@@ -51,7 +51,6 @@ class UpgradeContext:
         self._fast = fast_paths
         self._up: list[ExtNat] = []
         self._chosen: dict[int, int] = {}
-        self._phi_caches: dict[tuple[int, int], dict[int, ExtNat]] = {}
         self._singleton = (
             fast_paths
             and isinstance(self.source, FiniteHierarchy)
@@ -90,10 +89,7 @@ class UpgradeContext:
         return self._phi(b, c, m)
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
-        cache = self._phi_caches.setdefault((b, c), {})
-        return _phi_value(
-            self._small_up, b, c, m, self.budget, cache, self.source.min_base
-        )
+        return _phi_value(self._small_up, b, c, m, self.budget, self.source.min_base)
 
     def _small_up(self, m: int) -> ExtNat:
         if m < len(self._up):

@@ -1,5 +1,6 @@
 """Decomposition, hereditary digits, base change, towers, and bit budgets."""
 
+import operator
 import random
 from decimal import Decimal, localcontext
 
@@ -210,9 +211,21 @@ def test_short_rendering():
 
 
 def test_infinity_ordering():
-    assert INFINITY > 10**100
-    assert not INFINITY < 10**100
-    assert INFINITY == INFINITY
-    assert INFINITY >= INFINITY
-    assert 5 < INFINITY
     assert repr(INFINITY) == "INFINITY"
+    # every operator, in both directions, against INFINITY and finite ints
+    # (a bool is an int)
+    for x in (0, 5, 10**100, True):
+        assert INFINITY > x and INFINITY >= x and INFINITY != x
+        assert not (INFINITY < x or INFINITY <= x or INFINITY == x)
+        assert x < INFINITY and x <= INFINITY and x != INFINITY
+        assert not (x > INFINITY or x >= INFINITY or x == INFINITY)
+    assert INFINITY == INFINITY and INFINITY <= INFINITY and INFINITY >= INFINITY
+    assert not (INFINITY != INFINITY or INFINITY < INFINITY or INFINITY > INFINITY)
+    # other types are unordered against it, either way round
+    for x in (1.5, "a", None):
+        assert INFINITY != x and not INFINITY == x
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(INFINITY, x)
+            with pytest.raises(TypeError):
+                op(x, INFINITY)

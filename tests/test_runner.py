@@ -415,6 +415,19 @@ def test_lower_bound_chain_k1():
     assert tight.run_failure == "step 1: 4160**2 exceeds budget of 16 bits"
 
 
+def test_lower_bound_chain_reports_its_limits():
+    # both halves die on the budget at their first step, and say so
+    c = lower_bound_chain(2, budget=BitBudget(8))
+    assert c.seed == 16 and len(c.steps) == 1 and not c.complete
+    assert c.chain_failure == "step 0: 3**27 exceeds budget of 8 bits"
+    assert c.run_failure == "step 0: 3**27 exceeds budget of 8 bits"
+    assert c.run_values == [16]
+    capped = lower_bound_chain(0, run_cap=1)
+    assert capped.complete and capped.chain_failure is None
+    assert capped.run_values == [2, 2]
+    assert capped.run_failure == "run cap of 1 steps reached"
+
+
 # --- spec strings ----------------------------------------------------------------
 
 
@@ -543,6 +556,10 @@ def test_cli_ordinal_commands(capsys):
 def test_cli_hierarchy_stage(capsys):
     assert cli("hierarchy", "stage", "--base", "2,6", "--i", "0", "--n", "6") == 0
     assert capsys.readouterr().out.strip() == "3,30"
+    # the first successor of {2} outgrows the default budget before stage 8
+    assert cli("hierarchy", "stage", "--base", "2", "--i", "1", "--n", "8") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("budget exhausted: ")
 
 
 def test_cli_interp(capsys):

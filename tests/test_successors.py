@@ -308,10 +308,10 @@ def test_a_deep_change_keeps_multiples_of_the_base(n, c):
     # exponents stay at most 3 here), and as a plain base change
     ph = PlusHierarchy([2, 6], 1)
     for b, m in ((6, n - n % 6), (2, n % 16 - n % 2)):
-        v = _phi_value(ph.upgrade_value, b, c, m, DEFAULT_BUDGET, {}, ph.base.min_base)
+        v = _phi_value(ph.upgrade_value, b, c, m, DEFAULT_BUDGET, ph.base.min_base)
         assert v % c == 0, (b, c, m)
         if c >= b:
-            assert _phi_value(None, b, c, m, DEFAULT_BUDGET, {}, b) % c == 0, (b, c, m)
+            assert _phi_value(None, b, c, m, DEFAULT_BUDGET, b) % c == 0, (b, c, m)
 
 
 def test_a_dying_successor_is_built_once(appends):
