@@ -11,7 +11,7 @@ computation, no limits are taken anywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy, _coerce
 from .numerals import (
@@ -24,15 +24,16 @@ from .numerals import (
 from .ordinal_terms import (
     CNT_ONE,
     CNT_ZERO,
-    ZERO,
     Cofinality,
     CntTerm,
     Index,
     OrdTerm,
     OrdinalError,
+    check_plus_big_omega,
     cofinality,
     compare,
     compare_cnt,
+    compare_spines,
     fin_cnt,
     fin_ord,
     fund_seq,
@@ -40,7 +41,7 @@ from .ordinal_terms import (
     natural_sum,
     omega_monomial,
     ord_add,
-    plus_big_omega,
+    ord_sum,
     psi,
     theta,
 )
@@ -66,7 +67,8 @@ def o_from_digits(
 
     Coefficients and exponent leaves go through f; exponents at or above b
     recurse.  A trailing remainder below b goes through rest instead, which
-    defaults to f.
+    defaults to f.  The pieces are summed in one pass (ord_sum), equal to
+    folding ord_add over them from the left.
     """
     if b < 2:
         raise ValueError(f"base must be at least 2, got {b}")
@@ -74,16 +76,18 @@ def o_from_digits(
         rest = f
     if x < b:
         return lift(f(x))
-    acc = ZERO
-    t = x
-    while t >= b:
-        _, e, a, r = decompose(t, b)
-        exp = lift(f(e)) if e < b else o_from_digits(b, f, e, rest)
-        acc = ord_add(acc, omega_monomial(exp, f(a)))
-        t = r
-    if t:
-        acc = ord_add(acc, lift(rest(t)))
-    return acc
+
+    def pieces() -> Iterator[OrdTerm]:
+        t = x
+        while t >= b:
+            _, e, a, r = decompose(t, b)
+            exp = lift(f(e)) if e < b else o_from_digits(b, f, e, rest)
+            yield omega_monomial(exp, f(a))
+            t = r
+        if t:
+            yield lift(rest(t))
+
+    return ord_sum(pieces())
 
 
 class ThetaInterpretation:
@@ -133,15 +137,22 @@ class ThetaInterpretation:
 
         Comparison happens after adding one uncountable step to both sides,
         so a countable difference on top of a shared spine does not count.
+        Every exponent is at least 1, so x + Omega keeps the monomials of x,
+        drops its tail, and adds 1 to an Omega^1 coefficient or appends
+        Omega^1*1 alike on both sides: the sums compare as the monomials do
+        (compare_spines).  They are not built, but their budget checks run.
         """
-        target = plus_big_omega(self.upper(n))
+        spine = self.upper(n)
+        check_plus_big_omega(spine)
         below: list[int] = []
         for x in self.base.elements_from(0):
             if x >= n:
                 break
             below.append(x)
         for b_star in reversed(below):
-            if compare(plus_big_omega(self.upper(b_star)), target) >= 0:
+            candidate = self.upper(b_star)
+            check_plus_big_omega(candidate)
+            if compare_spines(candidate, spine) >= 0:
                 return self.value(b_star)
         return CNT_ZERO
 
@@ -149,7 +160,11 @@ class ThetaInterpretation:
         hit = self._value.get(n)
         if hit is not None:
             return hit
-        out = theta(natural_sum(self.upper(n), lift(self.star(n))))
+        if n < self.base.min_base:
+            out = theta(fin_ord(n))  # no element lies below n, so star(n) is 0
+        else:
+            arg, star = self.upper(n), self.star(n)
+            out = theta(arg if star.is_zero() else natural_sum(arg, lift(star)))
         self._value[n] = out
         return out
 

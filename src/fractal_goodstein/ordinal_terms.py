@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .numerals import BudgetExceededError
 
@@ -55,11 +55,14 @@ __all__ = [
     "omega_tower",
     "compare",
     "compare_cnt",
+    "compare_spines",
     "natural_sum",
     "natural_sum_cnt",
     "ord_add",
+    "ord_sum",
     "cnt_add",
     "plus_big_omega",
+    "check_plus_big_omega",
     "max_coefficient",
     "Cofinality",
     "cofinality",
@@ -345,6 +348,11 @@ def compare(x: OrdTerm, y: OrdTerm) -> int:
     """Strict total order on OrdTerms of one flavor: -1, 0, or 1."""
     if x is y:
         return 0
+    return compare_spines(x, y) or compare_cnt(x.tail, y.tail)
+
+
+def compare_spines(x: OrdTerm, y: OrdTerm) -> int:
+    """compare on the monomials alone; equal to compare of x + Omega and y + Omega."""
     for (e1, c1), (e2, c2) in zip(x.monos, y.monos):
         c = compare(e1, e2)
         if c:
@@ -354,7 +362,7 @@ def compare(x: OrdTerm, y: OrdTerm) -> int:
             return c
     if len(x.monos) != len(y.monos):
         return -1 if len(x.monos) < len(y.monos) else 1
-    return compare_cnt(x.tail, y.tail)
+    return 0
 
 
 def max_coefficient(x: OrdTerm) -> CntTerm:
@@ -428,9 +436,77 @@ def ord_add(x: OrdTerm, y: OrdTerm) -> OrdTerm:
     return OrdTerm(_absorb(x.monos, y.monos, compare, cnt_add), y.tail)
 
 
+def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
+    """Ordinal sum of terms from the left, equal to folding ord_add from ZERO.
+
+    The monomials sit on a stack with decreasing exponents: a term's lead
+    pops the smaller ones (what _absorb drops) and merges with an equal one
+    through cnt_add.  Only the sum is built, but the size and depth of each
+    partial sum the fold builds are checked in the fold's order, so a sum
+    over budget raises the same error at the same term.  Each term is
+    summed before the next is asked for.
+    """
+    pairs: list = []  # the (exponent, coefficient) pairs stored in the terms
+    nodes = deepest = 0  # of pairs
+    tail = CNT_ZERO
+    for y in terms:
+        monos = y.monos
+        if monos:
+            lead, coeff = monos[0]
+            popped = False
+            while pairs and (order := compare(pairs[-1][0], lead)) <= 0:
+                popped = True
+                _, below = pairs.pop()
+                if order == 0:
+                    monos = ((lead, cnt_add(below, coeff)), *monos[1:])
+                    break
+            if popped:
+                nodes = sum(e.size + c.size for e, c in pairs)
+                deepest = max((max(e.depth, c.depth) for e, c in pairs), default=0)
+            for exp, coeff in monos:
+                nodes += exp.size + coeff.size
+                if exp.depth > deepest:
+                    deepest = exp.depth
+                if coeff.depth > deepest:
+                    deepest = coeff.depth
+            pairs.extend(monos)
+            tail = y.tail
+        elif y.tail.is_zero():
+            continue
+        else:
+            tail = cnt_add(tail, y.tail)
+        # the checks of the partial sum the fold builds here
+        size = 1 + nodes + tail.size
+        depth = 1 + (deepest if deepest > tail.depth else tail.depth)
+        if size > TERM_NODE_BUDGET or depth > TERM_DEPTH_BUDGET:
+            _check_size(size)
+            _check_depth(depth)
+    monos = tuple(pairs)
+    if monos and (tail.parts or tail.fin):
+        # the monomials alone recur across nearby readings: their stored sum
+        # lends its tuple, so that tuple is kept once
+        monos = OrdTerm(monos, CNT_ZERO).monos
+    return OrdTerm(monos, tail)
+
+
 def plus_big_omega(x: OrdTerm) -> OrdTerm:
     """x + Omega: used for the left-additive base comparisons."""
     return ord_add(x, BIG_OMEGA)
+
+
+def check_plus_big_omega(x: OrdTerm) -> None:
+    """Raise what building plus_big_omega(x) would raise, without building it.
+
+    x + Omega drops the tail of x and either turns an Omega^1 coefficient c
+    into c + 1, of the same size, or appends the three nodes of Omega^1*1.
+    It is no deeper than x, which passed, or than BIG_OMEGA.
+    """
+    size = x.size - x.tail.size + 4
+    if size > TERM_NODE_BUDGET or BIG_OMEGA.depth > TERM_DEPTH_BUDGET:
+        if x.monos and x.monos[-1][0] == ONE:
+            size -= 3
+        _check_size(size)
+        _check_depth(BIG_OMEGA.depth)
 
 
 # --- cofinality and fundamental sequences --------------------------------

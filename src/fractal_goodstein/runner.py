@@ -478,11 +478,12 @@ class ChainReport:
 
     The chain realizes iterated fundamental-sequence entries by integers;
     linked steps carry checked linkage to their predecessor.  Failures on
-    either side are reported verbatim, never swallowed.
+    either side are reported verbatim, never swallowed; a tower seed over
+    the budget leaves seed None and fails both sides.
     """
 
     k: int
-    seed: int
+    seed: int | None
     steps: list[ChainStep] = field(default_factory=list)
     complete: bool = False
     chain_failure: str | None = None
@@ -506,7 +507,12 @@ def lower_bound_chain(
         raise ValueError("chain depth must be nonnegative")
     budget = budget or BitBudget()
     oh = dynamical("ouroboros", budget=budget, horizon=horizon)
-    seed = superexp(2, k + 1, budget)
+    try:
+        seed = superexp(2, k + 1, budget)
+    except BudgetExceededError as e:
+        # no seed, so neither side can start
+        failure = f"seed: {e}"
+        return ChainReport(k=k, seed=None, chain_failure=failure, run_failure=failure)
     report = ChainReport(k=k, seed=seed)
     n = seed
     prev_u: CntTerm | None = None

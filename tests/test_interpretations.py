@@ -6,6 +6,7 @@ nothing here accepts "equivalent" shapes.
 
 import pytest
 
+from fractal_goodstein import ordinal_terms
 from fractal_goodstein.hierarchy import FiniteHierarchy
 from fractal_goodstein.interpretations import (
     IotaProvenance,
@@ -14,18 +15,28 @@ from fractal_goodstein.interpretations import (
     fs_witness,
     majorize_witness,
 )
-from fractal_goodstein.numerals import BitBudget, BudgetExceededError
+from fractal_goodstein.numerals import BitBudget, BudgetExceededError, decompose
 from fractal_goodstein.ordinal_terms import (
+    BIG_OMEGA,
+    CNT_ZERO,
+    ZERO,
     OrdinalError,
+    OrdTerm,
     as_cnt,
+    check_plus_big_omega,
     compare,
     compare_cnt,
+    compare_spines,
     fund_seq_cnt,
     lift,
+    natural_sum,
+    omega_monomial,
     omega_tower,
+    ord_add,
     parse_term,
     plus_big_omega,
     term_to_str,
+    theta,
 )
 from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext
@@ -260,3 +271,185 @@ def test_theta_digit_reading_boundary():
     th26 = ThetaInterpretation([2, 6])
     # over {2,6} the coefficient 2 is not below the minimum: it collapses
     assert th26.upper(12) == ord_("W^1*v(W^1*1)")
+
+
+# --- one-pass sums and spine comparison -----------------------------------------
+
+HIERARCHIES = ([2], [3], [2, 6], [3, 12], [2, 4, 8], [2, 6, 36])
+TERM_CLASSES = (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm)
+
+
+def _cold_tables():
+    """Tables holding only the constants: no stored term skips a patched check."""
+    for cls in TERM_CLASSES:
+        cls._table.clear()
+        cls._table.update(cls._seed)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as e:
+        return f"raises {e}"
+
+
+def fold_o_from_digits(b, f, x, rest=None, seen=None):
+    """The left fold acc = ord_add(acc, Omega^exp * f(a)) that ord_sum replaces.
+
+    seen, when given, collects "pop" for a monomial whose exponent is not
+    below the last one so far, and "partial" for a partial sum over budget.
+    """
+    if rest is None:
+        rest = f
+    if x < b:
+        return lift(f(x))
+
+    def add(acc, y):
+        if seen is not None and y.monos and acc.monos and compare(acc.monos[-1][0], y.monos[0][0]) <= 0:
+            seen.add("pop")
+        try:
+            return ord_add(acc, y)
+        except BudgetExceededError:
+            if seen is not None:
+                seen.add("partial")
+            raise
+
+    acc = ZERO
+    t = x
+    while t >= b:
+        _, e, a, r = decompose(t, b)
+        exp = lift(f(e)) if e < b else fold_o_from_digits(b, f, e, rest, seen)
+        acc = add(acc, omega_monomial(exp, f(a)))
+        t = r
+    if t:
+        acc = add(acc, lift(rest(t)))
+    return acc
+
+
+def _adjacent_powers(b):
+    """b^(e+1) + b^e: where the psi values of e and e + 1 are out of order, the
+    second monomial pops or merges with the first."""
+    return [b ** (e + 1) + b**e for e in range(1, b + 1)]
+
+
+def _readings(interp_cls, bases, seen=None):
+    """(one-pass, fold) reading pairs along every base of the hierarchy."""
+    interp = interp_cls(bases)
+    if interp_cls is ThetaInterpretation:
+        digit, rest = interp._digit, interp.value
+    else:
+        digit, rest = interp.value, interp.value
+    for b in bases:
+        for n in (*range(1, 120), *_adjacent_powers(b), b**b + b, 2 * b**3 + b + 1):
+            yield n, interp.upper_base_term(b, n), fold_o_from_digits(b, digit, n, rest, seen)
+
+
+def test_one_pass_readings_equal_the_fold():
+    seen = set()
+    for bases in HIERARCHIES:
+        for interp_cls in (ThetaInterpretation, PsiInterpretation):
+            psi_seen = seen if interp_cls is PsiInterpretation else None
+            for n, one_pass, fold in _readings(interp_cls, bases, psi_seen):
+                assert one_pass == fold, (interp_cls.__name__, bases, n)
+    # psi readings are not monotone: the stack really pops and merges
+    assert "pop" in seen
+
+
+@pytest.mark.parametrize("nodes, depth", [(8, 200), (12, 200), (20, 200), (10_000, 4), (10_000, 6)])
+def test_one_pass_readings_raise_what_the_fold_raises(monkeypatch, nodes, depth):
+    monkeypatch.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
+    monkeypatch.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
+    seen = set()
+    for bases in HIERARCHIES:
+        for interp_cls in (ThetaInterpretation, PsiInterpretation):
+            for b in bases:
+                for n in (*range(b, 60), *_adjacent_powers(b), b**b + b, 2 * b**3 + b + 1):
+                    _cold_tables()
+                    one_pass = _outcome(interp_cls(bases).upper_base_term, b, n)
+                    _cold_tables()
+                    interp = interp_cls(bases)
+                    digit = interp._digit if interp_cls is ThetaInterpretation else interp.value
+                    fold = _outcome(fold_o_from_digits, b, digit, n, interp.value, seen)
+                    assert one_pass == fold, (interp_cls.__name__, bases, b, n)
+    _cold_tables()
+    if nodes < 10_000:
+        # some partial sum, not only a monomial, was over budget; a partial
+        # sum is never deeper than the term just added to it
+        assert "partial" in seen
+
+
+def _spine_readings():
+    for interp_cls in (ThetaInterpretation, PsiInterpretation):
+        out = []
+        for bases in HIERARCHIES:
+            interp = interp_cls(bases)
+            out.extend(interp.upper(n) for n in range(0, 80, 3))
+        yield out
+
+
+def test_spine_compare_equals_compare_after_adding_omega():
+    for readings in _spine_readings():
+        for x in readings:
+            for y in readings:
+                assert compare_spines(x, y) == compare(plus_big_omega(x), plus_big_omega(y)), (x, y)
+
+
+def test_check_plus_big_omega_raises_exactly_when_the_build_would(monkeypatch):
+    def agree(x, nodes, depth):
+        with monkeypatch.context() as m:
+            m.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
+            m.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
+            _cold_tables()
+            expected = _outcome(plus_big_omega, x)
+            checked = _outcome(check_plus_big_omega, x)
+        assert checked == (None if isinstance(expected, OrdTerm) else expected), (x, nodes, depth)
+
+    for readings in list(_spine_readings()):
+        for x in readings:
+            built = plus_big_omega(x)
+            # the constants are stored unchecked, and a budget below x would
+            # have stopped x itself, so no budget goes below either
+            for nodes in (max(built.size - 1, BIG_OMEGA.size), built.size):
+                agree(x, nodes, 200)
+            for depth in (max(built.depth - 1, x.depth, BIG_OMEGA.depth), built.depth):
+                agree(x, 10_000, depth)
+    _cold_tables()
+
+
+class _BuildingTheta(ThetaInterpretation):
+    """The formulas as they were: star builds both sides as x + Omega and
+    compares them, and value always takes the natural sum with star."""
+
+    def value(self, n):
+        if n not in self._value:
+            self._value[n] = theta(natural_sum(self.upper(n), lift(self.star(n))))
+        return self._value[n]
+
+    def star(self, n):
+        target = plus_big_omega(self.upper(n))
+        below = []
+        for x in self.base.elements_from(0):
+            if x >= n:
+                break
+            below.append(x)
+        for b_star in reversed(below):
+            if compare(plus_big_omega(self.upper(b_star)), target) >= 0:
+                return self.value(b_star)
+        return CNT_ZERO
+
+
+@pytest.mark.parametrize("nodes", [10, 14, 20, 30, 10_000])
+def test_star_and_value_match_building_x_plus_omega(monkeypatch, nodes):
+    monkeypatch.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
+    raised = 0
+    for bases in HIERARCHIES:
+        for n in range(0, 90):
+            for method in ("star", "value"):
+                _cold_tables()
+                spine = _outcome(getattr(ThetaInterpretation(bases), method), n)
+                _cold_tables()
+                built = _outcome(getattr(_BuildingTheta(bases), method), n)
+                assert spine == built, (bases, n, method)
+                raised += isinstance(spine, str)
+    _cold_tables()
+    assert raised or nodes == 10_000

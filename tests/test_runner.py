@@ -415,6 +415,18 @@ def test_lower_bound_chain_k1():
     assert tight.run_failure == "step 1: 4160**2 exceeds budget of 16 bits"
 
 
+def test_lower_bound_chain_over_budget_seed_is_reported():
+    # the tower seed 2^^6 is far wider than the default budget: both sides
+    # report that, and the call itself does not raise
+    c = lower_bound_chain(5)
+    assert c.seed is None
+    assert c.steps == [] and c.run_values == []
+    assert not c.complete
+    assert c.verified_steps == 0
+    message = "seed: 2**<65537-bit integer> exceeds budget of 1048576 bits"
+    assert c.chain_failure == c.run_failure == message
+
+
 def test_lower_bound_chain_reports_its_limits():
     # both halves die on the budget at their first step, and say so
     c = lower_bound_chain(2, budget=BitBudget(8))
