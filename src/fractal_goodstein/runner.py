@@ -22,19 +22,23 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .hierarchy import DEFAULT_HORIZON, FiniteHierarchy, HorizonError
-from .interpretations import PsiInterpretation, ThetaInterpretation, majorize_witness
+from .interpretations import (
+    ClassicThetaReader,
+    PsiInterpretation,
+    ThetaInterpretation,
+    majorize_witness,
+)
 from .numerals import BitBudget, BudgetExceededError, superexp
 from .ordinal_terms import (
     CntTerm,
     OrdinalError,
+    _cnt_pieces,
     as_cnt,
     compare_cnt,
     fund_seq_cnt,
-    lift,
     parse_term,
-    term_to_str,
 )
-from .successors import DynamicalHierarchy, dynamical
+from .successors import ClassicHierarchy, DynamicalHierarchy, dynamical
 
 __all__ = [
     "StepRecord",
@@ -76,7 +80,9 @@ def _str_int(s: str) -> int:
 
 
 def _cnt_str(c: CntTerm) -> str:
-    return term_to_str(lift(c))
+    # the text term_to_str gives the lifted term, without building it: a
+    # certificate at the node budget would not lift
+    return "0" if c.is_zero() else "+".join(_cnt_pieces(c))
 
 
 def _parse_cnt(s: str) -> CntTerm:
@@ -207,6 +213,12 @@ class _Steps:
     asks for.  Evidence that fails is recorded as a stop and never ends the
     value sequence.  Once the iteration is exhausted, ``outcome``,
     ``detail``, ``theta_stop`` and ``psi_stop`` say how the run ended.
+
+    A classic run reads its theta certificates through one
+    ClassicThetaReader, which derives each from the step before.  It is fed
+    the consecutive steps of this run only, from step 0 until the reading
+    stops, and its oracle is the fresh ThetaInterpretation(stage).value
+    that every other kind reads at each step.
     """
 
     def __init__(
@@ -231,6 +243,10 @@ class _Steps:
         h = self.h
         want_theta = self.certify in ("theta", "both")
         want_psi = self.certify in ("psi", "both")
+        if isinstance(h, ClassicHierarchy):
+            read_theta = ClassicThetaReader().value
+        else:
+            read_theta = lambda stage, n: ThetaInterpretation(stage).value(n)
         value = psi_n = self.seed
         prev_u: CntTerm | None = None
         i = 0
@@ -248,7 +264,7 @@ class _Steps:
             rec = StepRecord(i, value, base)
             if want_theta and self.theta_stop is None:
                 try:
-                    rec.theta = ThetaInterpretation(stage).value(value)
+                    rec.theta = read_theta(stage, value)
                 except _CERT_ERRORS as e:
                     self.theta_stop = {"step": i, "reason": str(e)}
             if want_psi and self.psi_stop is None:
