@@ -16,20 +16,14 @@ from .numerals import BitBudget, BudgetExceededError
 from .ordinal_terms import (
     OrdinalError,
     as_cnt,
+    cnt_to_str,
     fund_seq,
-    lift,
     parse_term,
     step_down,
     term_to_str,
 )
-from .runner import (
-    hierarchy_from_spec,
-    run,
-    static_hierarchy_from_spec,
-    verify_trace,
-    write_trace,
-)
-from .successors import PlusHierarchy
+from .runner import run, verify_trace, write_trace
+from .successors import PlusHierarchy, static_hierarchy_from_spec
 
 __all__ = ["main"]
 
@@ -144,7 +138,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             value = ThetaInterpretation(h).value(args.n)
         else:
             value = PsiInterpretation(h).value(args.n)
-        print(term_to_str(lift(value)))
+        print(cnt_to_str(value))
         return 0
     raise AssertionError("unreachable")
 

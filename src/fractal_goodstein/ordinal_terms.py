@@ -72,6 +72,7 @@ __all__ = [
     "big_f",
     "is_psi_normal_form",
     "term_to_str",
+    "cnt_to_str",
     "parse_term",
 ]
 
@@ -186,7 +187,7 @@ class CntTerm(metaclass=_Interned):
         return self._hash
 
     def __repr__(self) -> str:
-        return term_to_str(lift(self))
+        return cnt_to_str(self)
 
 
 class OrdTerm(metaclass=_Interned):
@@ -711,6 +712,11 @@ def term_to_str(x: OrdTerm) -> str:
             prods.append(head + piece)
     prods.extend(_cnt_pieces(x.tail))
     return "+".join(prods)
+
+
+def cnt_to_str(c: CntTerm) -> str:
+    """The text of lift(c), without building it: a term at the node budget would not lift."""
+    return "0" if c.is_zero() else "+".join(_cnt_pieces(c))
 
 
 _TOKEN = re.compile(r"W\^|\d+|[wvp()*+]")

@@ -7,11 +7,14 @@ integers realize fundamental-sequence entries.  The step loop exists once,
 in ``_Steps``: ``run`` collects it, and ``verify_trace`` replays it.
 
 Traces serialize to JSONL, with integers as bare lowercase hex strings
-(trace version 2).  The verifier rebuilds the hierarchy from the
-header, replays the loop under the recorded caps alongside the trace, and
-rejects any row or ending that differs from the replay.  From the claimed
-terms alone it also checks that the theta chain strictly descends and that
-the psi chain links and stays at or below the value.
+(trace version 2).  The texts inside have one owner each: the header's
+hierarchy description is printed by ``spec_string`` and parsed by
+``successors.hierarchy_from_spec``, and the terms of each row are printed
+by ``ordinal_terms.cnt_to_str``.  The verifier rebuilds the hierarchy from
+the header, replays the loop under the recorded caps alongside the trace,
+and rejects any row or ending that differs from the replay.  From the
+claimed terms alone it also checks that the theta chain strictly descends
+and that the psi chain links and stays at or below the value.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .hierarchy import DEFAULT_HORIZON, FiniteHierarchy, HorizonError
+from .hierarchy import DEFAULT_HORIZON, HorizonError
 from .interpretations import (
     ClassicThetaReader,
     PsiInterpretation,
@@ -32,13 +35,18 @@ from .numerals import BitBudget, BudgetExceededError, superexp
 from .ordinal_terms import (
     CntTerm,
     OrdinalError,
-    _cnt_pieces,
     as_cnt,
+    cnt_to_str,
     compare_cnt,
     fund_seq_cnt,
     parse_term,
 )
-from .successors import ClassicHierarchy, DynamicalHierarchy, dynamical
+from .successors import (
+    ClassicHierarchy,
+    DynamicalHierarchy,
+    dynamical,
+    hierarchy_from_spec,
+)
 
 __all__ = [
     "StepRecord",
@@ -46,8 +54,6 @@ __all__ = [
     "ChainStep",
     "ChainReport",
     "VerifyReport",
-    "hierarchy_from_spec",
-    "static_hierarchy_from_spec",
     "run",
     "write_trace",
     "verify_trace",
@@ -79,16 +85,10 @@ def _str_int(s: str) -> int:
     return int(s, 16)
 
 
-def _cnt_str(c: CntTerm) -> str:
-    # the text term_to_str gives the lifted term, without building it: a
-    # certificate at the node budget would not lift
-    return "0" if c.is_zero() else "+".join(_cnt_pieces(c))
-
-
 def _parse_cnt(s: str) -> CntTerm:
-    # only the one string _cnt_str writes for a term is accepted
+    # only the one string cnt_to_str writes for a term is accepted
     c = as_cnt(parse_term(s))
-    if _cnt_str(c) != s:
+    if cnt_to_str(c) != s:
         raise ValueError(f"not a canonical term: {s!r:.40}")
     return c
 
@@ -97,50 +97,9 @@ def _claimed_cnt(s: str, replayed: CntTerm | None) -> CntTerm:
     # printing is injective (parse_term(term_to_str(t)) == t), so text equal to
     # the replayed term's printing is canonical and names exactly that term;
     # any other text is parsed
-    if replayed is not None and s == _cnt_str(replayed):
+    if replayed is not None and s == cnt_to_str(replayed):
         return replayed
     return _parse_cnt(s)
-
-
-def hierarchy_from_spec(
-    spec: str,
-    budget: BitBudget | None = None,
-    horizon: int = DEFAULT_HORIZON,
-) -> DynamicalHierarchy:
-    """Parse a hierarchy description into a dynamical hierarchy.
-
-    Understood forms: ``classic``, ``ouroboros``, ``diagonal``,
-    ``finite-for: m``, ``plus-chain: b1,b2,...`` and ``finite: b1,b2,...``.
-    A finite list runs as the start of its own successor chain.
-    """
-    budget = budget or BitBudget()
-    s = spec.strip()
-    if s == "classic":
-        return dynamical("classic", budget=budget, horizon=horizon)
-    if s == "ouroboros":
-        return dynamical("ouroboros", budget=budget, horizon=horizon)
-    if s == "diagonal":
-        return dynamical("diagonal", budget=budget, horizon=horizon)
-    head, sep, rest = s.partition(":")
-    head = head.strip()
-    if sep and head == "finite-for":
-        return dynamical("finite-for", m=int(rest), budget=budget, horizon=horizon)
-    if sep and head in ("plus-chain", "finite"):
-        bases = [int(t) for t in rest.split(",") if t.strip()]
-        return dynamical("plus-chain", start=bases, budget=budget, horizon=horizon)
-    raise ValueError(f"unknown hierarchy description: {spec!r}")
-
-
-def static_hierarchy_from_spec(spec: str) -> FiniteHierarchy:
-    """Parse a finite hierarchy for interpretation and stage queries."""
-    s = spec.strip()
-    _, sep, rest = s.partition(":")
-    if sep and s.split(":")[0].strip() == "finite":
-        s = rest
-    bases = [int(t) for t in s.split(",") if t.strip()]
-    if not bases:
-        raise ValueError(f"no bases in hierarchy description: {spec!r}")
-    return FiniteHierarchy(bases)
 
 
 @dataclass
@@ -186,9 +145,9 @@ class RunResult:
         for r in self.records:
             row: dict = {"i": r.index, "value": _int_str(r.value), "base": r.base}
             if r.theta is not None:
-                row["theta"] = _cnt_str(r.theta)
+                row["theta"] = cnt_to_str(r.theta)
             if r.psi_n is not None:
-                row["psi"] = {"n": _int_str(r.psi_n), "u": _cnt_str(r.psi_u)}
+                row["psi"] = {"n": _int_str(r.psi_n), "u": cnt_to_str(r.psi_u)}
             lines.append(json.dumps(row))
         tail = {
             "outcome": self.outcome,

@@ -50,6 +50,8 @@ __all__ = [
     "FiniteForHierarchy",
     "DiagonalHierarchy",
     "dynamical",
+    "hierarchy_from_spec",
+    "static_hierarchy_from_spec",
 ]
 
 
@@ -359,7 +361,7 @@ class PlusChainHierarchy(DynamicalHierarchy):
     ) -> None:
         first = _coerce(start)
         if not isinstance(first, FiniteHierarchy):
-            first = FiniteHierarchy(first.known_elements())
+            first = FiniteHierarchy(first.elements_from(0))
         super().__init__(budget, horizon, first)
 
     def spec_string(self) -> str:
@@ -470,3 +472,42 @@ def dynamical(
     if kind == "diagonal":
         return DiagonalHierarchy(budget, horizon)
     raise ValueError(f"unknown dynamical hierarchy kind: {kind!r}")
+
+
+# --- descriptions: the text spec_string prints, read back ------------------
+
+
+def _read_bases(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
+def hierarchy_from_spec(
+    spec: str,
+    budget: BitBudget | None = None,
+    horizon: int = DEFAULT_HORIZON,
+) -> DynamicalHierarchy:
+    """Parse a hierarchy description into a dynamical hierarchy.
+
+    Understood forms: ``classic``, ``ouroboros``, ``diagonal``,
+    ``finite-for: m``, ``plus-chain: b1,b2,...`` and ``finite: b1,b2,...``.
+    A finite list runs as the start of its own successor chain.
+    """
+    budget = budget or BitBudget()
+    head, sep, rest = spec.partition(":")
+    head = head.strip()
+    if not sep and head in ("classic", "ouroboros", "diagonal"):
+        return dynamical(head, budget=budget, horizon=horizon)
+    if sep and head == "finite-for":
+        return dynamical("finite-for", m=int(rest), budget=budget, horizon=horizon)
+    if sep and head in ("plus-chain", "finite"):
+        return dynamical("plus-chain", start=_read_bases(rest), budget=budget, horizon=horizon)
+    raise ValueError(f"unknown hierarchy description: {spec!r}")
+
+
+def static_hierarchy_from_spec(spec: str) -> FiniteHierarchy:
+    """Parse ``finite: b1,b2,...`` or a bare base list for interpretation and stage queries."""
+    head, sep, rest = spec.partition(":")
+    bases = _read_bases(rest if sep and head.strip() == "finite" else spec)
+    if not bases:
+        raise ValueError(f"no bases in hierarchy description: {spec!r}")
+    return FiniteHierarchy(bases)

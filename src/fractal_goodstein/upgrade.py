@@ -89,12 +89,7 @@ class UpgradeContext:
         return self._phi(b, c, m)
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
-        return _phi_value(self._small_up, b, c, m, self.budget, self.source.min_base)
-
-    def _small_up(self, m: int) -> ExtNat:
-        if m < len(self._up):
-            return self._up[m]
-        return self.upgrade(m)
+        return _phi_value(self.upgrade, b, c, m, self.budget, self.source.min_base)
 
     def _fill_next(self) -> None:
         m = len(self._up)

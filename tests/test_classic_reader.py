@@ -8,6 +8,7 @@ the step the run records as its theta stop.
 """
 
 import contextlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,5 +143,8 @@ def test_a_certificate_at_the_node_budget_is_written_and_verifies(monkeypatch):
         assert max(r.theta.size for r in result.records if r.theta is not None) == 16
         lines = result.trace_lines()
         report = verify_trace(lines)
+        # repr prints the certificate as the trace writes it
+        written = [json.loads(ln).get("theta") for ln in lines[1:-1]]
+        assert [None if r.theta is None else repr(r.theta) for r in result.records] == written
     assert report.ok, report.problems
     assert report.steps == len(result.records)

@@ -6,7 +6,7 @@ nothing here accepts "equivalent" shapes.
 
 import pytest
 
-from fractal_goodstein import ordinal_terms
+from fractal_goodstein import interpretations, ordinal_terms
 from fractal_goodstein.hierarchy import FiniteHierarchy
 from fractal_goodstein.interpretations import (
     IotaProvenance,
@@ -38,6 +38,7 @@ from fractal_goodstein.ordinal_terms import (
     term_to_str,
     theta,
 )
+from fractal_goodstein.runner import run
 from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext
 
@@ -376,6 +377,26 @@ def test_one_pass_readings_raise_what_the_fold_raises(monkeypatch, nodes, depth)
         # some partial sum, not only a monomial, was over budget; a partial
         # sum is never deeper than the term just added to it
         assert "partial" in seen
+
+
+def test_certified_plus_chain_runs_stay_under_8000_compare_calls(monkeypatch):
+    # where the one-pass sums still pay: a plus-chain run reads each
+    # certificate afresh; 4,320 compare calls here from cold tables, against
+    # 10,461 with ord_sum folding ord_add pairwise
+    calls = 0
+    compare = ordinal_terms.compare
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return compare(x, y)
+
+    monkeypatch.setattr(ordinal_terms, "compare", counted)
+    monkeypatch.setattr(interpretations, "compare", counted)
+    _cold_tables()
+    for seed in (5, 6, 7):
+        run("plus-chain: 2,6", seed, max_steps=300, certify="theta")
+    assert calls < 8_000
 
 
 def _spine_readings():

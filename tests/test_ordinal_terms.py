@@ -1,5 +1,7 @@
 """Ordinal term calculus: comparison laws, fundamental sequences, grammar."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,7 @@ from fractal_goodstein.ordinal_terms import (
     omega_monomial,
     omega_tower,
     ord_add,
+    ord_sum,
     parse_term,
     plus_big_omega,
     psi,
@@ -238,6 +241,45 @@ def test_sum_laws_on_ord_terms(family, data):
     assert natural_sum(x, y) == natural_sum(y, x)
     assert natural_sum(natural_sum(x, y), z) == natural_sum(x, natural_sum(y, z))
     assert compare(natural_sum(x, y), natural_sum(x, z)) == compare(y, z)
+
+
+# zero terms and the shared exponents of _ord_terms make ord_sum skip terms,
+# pop monomials and merge equal exponents
+ORD_LISTS = {
+    family.__name__: st.lists(st.just(ZERO) | _ord_terms(family), max_size=6)
+    for family in (_atoms_theta, _atoms_psi)
+}
+
+
+def _cold_outcome(fn, *args):
+    """fn(*args) from tables holding only the constants, or the text it raises."""
+    for cls in TERM_CLASSES:
+        cls._table.clear()
+        cls._table.update(cls._seed)
+    try:
+        return fn(*args)
+    except BudgetExceededError as e:
+        return f"raises {e}"
+
+
+@pytest.mark.parametrize("family", ORD_LISTS)
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    nodes=st.sampled_from([16, 32, 48, 64, 10_000]),
+    depth=st.sampled_from([5, 6, 7, 200]),
+)
+def test_ord_sum_is_the_ord_add_fold(family, data, nodes, depth):
+    # under the budgets too: ord_sum raises the text the fold raises, at the
+    # same partial sum; stored terms would skip the checks, so tables are cold
+    xs = data.draw(ORD_LISTS[family])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
+        m.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
+        one_pass = _cold_outcome(ord_sum, xs)
+        fold = _cold_outcome(reduce, ord_add, xs, ZERO)
+    _restore_tables()
+    assert one_pass == fold
 
 
 def test_plus_big_omega_and_max_coefficient():

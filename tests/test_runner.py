@@ -6,23 +6,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractal_goodstein import ordinal_terms
 from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import as_cnt, lift, parse_term, term_to_str
-from fractal_goodstein.runner import (
-    hierarchy_from_spec,
-    lower_bound_chain,
-    run,
-    static_hierarchy_from_spec,
-    verify_trace,
-    write_trace,
-)
+from fractal_goodstein.runner import lower_bound_chain, run, verify_trace, write_trace
 from fractal_goodstein.successors import (
     ClassicHierarchy,
     DiagonalHierarchy,
     FiniteForHierarchy,
     OuroborosHierarchy,
     PlusChainHierarchy,
+    hierarchy_from_spec,
+    static_hierarchy_from_spec,
 )
 
 
@@ -118,6 +114,21 @@ def test_base_column_death_is_an_outcome_too():
     assert (report.outcome, report.steps) == ("budget_exceeded", 2)
 
 
+@pytest.mark.parametrize(
+    "witness, reason",
+    [(10**6, "witness overtook the value"), (0, "witness chain lost its linkage")],
+)
+def test_a_bad_witness_stops_psi_evidence_and_nothing_else(monkeypatch, witness, reason):
+    # the real majorize_witness triggers neither stop on the runs tested; the
+    # verifier replays under the same patch, so the recorded stop reproduces
+    values = [rec.value for rec in run("ouroboros", 3, certify="both").records]
+    monkeypatch.setattr("fractal_goodstein.runner.majorize_witness", lambda *args: witness)
+    r = run("ouroboros", 3, certify="both")
+    assert r.psi_stop == {"step": 1, "reason": reason}
+    assert [rec.value for rec in r.records] == values
+    assert verify_trace(r.trace_lines()).ok
+
+
 def test_trace_file_round_trip(tmp_path):
     r = run("classic", 3, certify="both")
     p = tmp_path / "trace.jsonl"
@@ -142,6 +153,12 @@ def _drop_key(lines, row, key):
     docs = [json.loads(ln) for ln in lines]
     del docs[row][key]
     return [json.dumps(d) for d in docs]
+
+
+def _row_past_the_end(lines):
+    """The trace of a terminated run with its last row copied under the next index."""
+    extra = _mutate(lines[-2:-1], 0, "i", len(lines) - 2)
+    return _mutate(lines[:-1] + extra + lines[-1:], -1, "steps", len(lines) - 1)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +205,7 @@ TAMPERINGS = [
     ("theta zero plus", lambda ls: _mutate(ls, 1, "theta", "0+v(W^1*1+v(W^1*1)+w)")),
     ("psi u zero plus", lambda ls: _mutate(ls, 1, "psi", "0+p(W^1*1+1)", subkey="u")),
     ("version 1", lambda ls: _mutate(ls, 0, "version", 1)),
+    ("row past the end", _row_past_the_end),
 ]
 
 
@@ -579,6 +597,20 @@ def test_cli_interp(capsys):
     assert capsys.readouterr().out.strip() == "v(W^(W^1*1)*1)"
     assert cli("interp", "u", "--hierarchy", "finite: 2,6", "--n", "10") == 0
     assert capsys.readouterr().out.strip() == "p(W^1*1+p(W^(W^1*1)*1))"
+
+
+def test_cli_interp_prints_a_value_at_the_node_budget(monkeypatch, capsys):
+    # the value has exactly 40 nodes: printing must not lift it into a term
+    # one node larger; stored terms would skip the check, so tables are cold
+    for cls in (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm):
+        cls._table.clear()
+        cls._table.update(cls._seed)
+    with monkeypatch.context() as m:
+        m.setattr(ordinal_terms, "TERM_NODE_BUDGET", 40)
+        assert cli("interp", "o", "--hierarchy", "finite: 2,6", "--n", "16") == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "v(W^1*v(W^1*1)+v(W^(W^1*1)*1+v(W^(W^1*1)*1))+v(W^(W^1*1)*1))"
+    assert as_cnt(parse_term(out)).size == 40
 
 
 CERTIFY_SPECS = ["classic", "plus-chain: 2,6", "finite-for: 3", "ouroboros", "diagonal", "finite: 3,12"]

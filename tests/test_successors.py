@@ -1,9 +1,11 @@
 """Plus-construction stages and the dynamical base hierarchies built on them."""
 
+from itertools import count
+
 import pytest
 from hypothesis import given, strategies as st
 
-from fractal_goodstein.hierarchy import FiniteHierarchy, HorizonError
+from fractal_goodstein.hierarchy import FiniteHierarchy, HorizonError, LazyHierarchy
 from fractal_goodstein.numerals import (
     DEFAULT_BUDGET,
     BitBudget,
@@ -120,6 +122,16 @@ def test_plus_chain_spec_string():
     pc = dynamical("plus-chain", start=[2, 6])
     assert pc.spec_string() == "plus-chain: 2,6"
     assert pc.stage(0).known_elements() == (2, 6)
+
+
+def test_plus_chain_starts_from_every_base_of_a_start_that_is_not_finite():
+    # not only the bases the start has materialized so far
+    lazy = dynamical("plus-chain", start=LazyHierarchy(iter([2, 6])))
+    assert lazy.spec_string() == "plus-chain: 2,6"
+    plus = dynamical("plus-chain", start=PlusHierarchy([2, 6], 0))
+    assert plus.spec_string() == "plus-chain: 3,30"
+    with pytest.raises(HorizonError):
+        dynamical("plus-chain", start=LazyHierarchy((2**k for k in count(1)), horizon=8))
 
 
 def test_ouroboros_stages():
