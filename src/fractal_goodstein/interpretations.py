@@ -30,6 +30,7 @@ from .ordinal_terms import (
     OrdTerm,
     OrdinalError,
     check_plus_big_omega,
+    cnt_add,
     cofinality,
     compare,
     compare_cnt,
@@ -40,7 +41,6 @@ from .ordinal_terms import (
     lift,
     natural_sum,
     omega_monomial,
-    ord_add,
     ord_sum,
     psi,
     theta,
@@ -67,8 +67,7 @@ def o_from_digits(
 
     Coefficients and exponent leaves go through f; exponents at or above b
     recurse.  A trailing remainder below b goes through rest instead, which
-    defaults to f.  The pieces are summed in one pass (ord_sum), equal to
-    folding ord_add over them from the left.
+    defaults to f.  The pieces are summed in one pass (ord_sum).
     """
     if b < 2:
         raise ValueError(f"base must be at least 2, got {b}")
@@ -126,7 +125,10 @@ class ThetaInterpretation:
             out = fin_ord(n)
         elif n in h and n != h.min_base:
             b = h.lower_base(n)
-            out = ord_add(self.upper_base_term(b, n - b), lift(self.value(n - b)))
+            # the value is added as the term lift(value), which is checked on
+            # its own first: a value at the node budget stops at that term
+            x, y = self.upper_base_term(b, n - b), lift(self.value(n - b))
+            out = OrdTerm(x.monos, cnt_add(x.tail, y.tail))
         else:
             out = self.upper_base_term(h.lower_base(n), n)
         self._upper[n] = out

@@ -39,6 +39,8 @@ class BitBudget:
     __slots__ = ("bits",)
 
     def __init__(self, bits: int = 1 << 20) -> None:
+        if type(bits) is not int:
+            raise TypeError(f"a bit budget is an integer, got {bits!r:.40}")
         if bits < 1:
             raise ValueError("budget must allow at least one bit")
         self.bits = bits

@@ -58,7 +58,6 @@ __all__ = [
     "compare_spines",
     "natural_sum",
     "natural_sum_cnt",
-    "ord_add",
     "ord_sum",
     "cnt_add",
     "plus_big_omega",
@@ -398,18 +397,6 @@ def _merge(xs: tuple, ys: tuple, cmp, add) -> tuple:
     return (*merged, *xs[i:], *ys[j:])
 
 
-def _absorb(xs: tuple, ys: tuple, cmp, add) -> tuple:
-    """Ordinal sum of pieces, ys nonempty: xs below the lead of ys vanish, an equal key adds."""
-    lead, coeff = ys[0]
-    for i, (key, c) in enumerate(xs):
-        order = cmp(key, lead)
-        if order < 0:
-            return xs[:i] + ys
-        if order == 0:
-            return (*xs[:i], (lead, add(c, coeff)), *ys[1:])
-    return xs + ys
-
-
 def natural_sum_cnt(x: CntTerm, y: CntTerm) -> CntTerm:
     """Commutative merge of countable terms."""
     return CntTerm(_merge(x.parts, y.parts, _compare_atoms, operator.add), x.fin + y.fin)
@@ -425,27 +412,25 @@ def cnt_add(x: CntTerm, y: CntTerm) -> CntTerm:
     """Ordinal addition on countable terms: x-pieces below y's lead are absorbed."""
     if not y.parts:
         return CntTerm(x.parts, x.fin + y.fin)
-    return CntTerm(_absorb(x.parts, y.parts, _compare_atoms, operator.add), y.fin)
-
-
-def ord_add(x: OrdTerm, y: OrdTerm) -> OrdTerm:
-    """Ordinal addition on OrdTerms, absorbing as usual."""
-    if y.is_zero():
-        return x
-    if not y.monos:
-        return OrdTerm(x.monos, cnt_add(x.tail, y.tail))
-    return OrdTerm(_absorb(x.monos, y.monos, compare, cnt_add), y.tail)
+    lead, mult = y.parts[0]
+    for i, (atom, m) in enumerate(x.parts):
+        order = _compare_atoms(atom, lead)
+        if order < 0:
+            return CntTerm(x.parts[:i] + y.parts, y.fin)
+        if order == 0:
+            return CntTerm((*x.parts[:i], (lead, m + mult), *y.parts[1:]), y.fin)
+    return CntTerm(x.parts + y.parts, y.fin)
 
 
 def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
-    """Ordinal sum of terms from the left, equal to folding ord_add from ZERO.
+    """Ordinal sum of terms from the left, absorbing as usual.
 
     The monomials sit on a stack with decreasing exponents: a term's lead
-    pops the smaller ones (what _absorb drops) and merges with an equal one
-    through cnt_add.  Only the sum is built, but the size and depth of each
-    partial sum the fold builds are checked in the fold's order, so a sum
-    over budget raises the same error at the same term.  Each term is
-    summed before the next is asked for.
+    pops the smaller ones, which the sum absorbs, and merges with an equal
+    one through cnt_add.  Only the sum is built, but the size and depth of
+    each partial sum from the left are checked in order, the first term's
+    included, so a sum over budget raises at the first partial sum that is
+    over it.  Each term is summed before the next is asked for.
     """
     pairs: list = []  # the (exponent, coefficient) pairs stored in the terms
     nodes = deepest = 0  # of pairs
@@ -476,7 +461,7 @@ def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
             continue
         else:
             tail = cnt_add(tail, y.tail)
-        # the checks of the partial sum the fold builds here
+        # the checks of the partial sum so far
         size = 1 + nodes + tail.size
         depth = 1 + (deepest if deepest > tail.depth else tail.depth)
         if size > TERM_NODE_BUDGET or depth > TERM_DEPTH_BUDGET:
@@ -491,8 +476,14 @@ def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
 
 
 def plus_big_omega(x: OrdTerm) -> OrdTerm:
-    """x + Omega: used for the left-additive base comparisons."""
-    return ord_add(x, BIG_OMEGA)
+    """x + Omega: used for the left-additive base comparisons.
+
+    Built directly, not through ord_sum, which would also check x itself.
+    """
+    monos = x.monos
+    if monos and monos[-1][0] == ONE:
+        return OrdTerm((*monos[:-1], (ONE, cnt_add(monos[-1][1], CNT_ONE))), CNT_ZERO)
+    return OrdTerm(monos + BIG_OMEGA.monos, CNT_ZERO)
 
 
 def check_plus_big_omega(x: OrdTerm) -> None:
@@ -620,21 +611,20 @@ def fund_seq(x: OrdTerm, idx: Index) -> OrdTerm:
         return _pred_ord(x)  # successors step to their predecessor
     if not x.tail.is_zero():
         return OrdTerm(x.monos, fund_seq_cnt(x.tail, idx))
-    prefix = x.monos[:-1]
+    prefix = OrdTerm(x.monos[:-1], CNT_ZERO)
     alpha, beta = x.monos[-1]
     if beta.fin == 0:
         # limit coefficient: recurse inside it
-        stepped = fund_seq_cnt(beta, _as_finite_index(idx))
-        return ord_add(OrdTerm(prefix, CNT_ZERO), omega_monomial(alpha, stepped))
-    delta = _pred_cnt(beta)
-    head = ord_add(OrdTerm(prefix, CNT_ZERO), omega_monomial(alpha, delta))
+        stepped = omega_monomial(alpha, fund_seq_cnt(beta, _as_finite_index(idx)))
+        return ord_sum((prefix, stepped))
+    stepped = omega_monomial(alpha, _pred_cnt(beta))
     if alpha.tail.fin > 0:
         # successor exponent: Omega^(a+1)[iota] = Omega^a * iota
         part = omega_monomial(_pred_ord(alpha), _as_cnt_index(idx))
     else:
         # limit exponent: Omega^a[idx] = Omega^(a[idx])
         part = omega_monomial(fund_seq(alpha, idx), CNT_ONE)
-    return ord_add(head, part)
+    return ord_sum((prefix, stepped, part))
 
 
 def step_down(x: OrdTerm | CntTerm, upto: int | None = None) -> list[OrdTerm]:
@@ -748,11 +738,13 @@ class _Parser:
         return tok
 
     def parse_sum(self) -> OrdTerm:
-        out = self.parse_prod()
+        return ord_sum(self._prods())
+
+    def _prods(self) -> Iterator[OrdTerm]:
+        yield self.parse_prod()
         while self.peek() == "+":
             self.take("+")
-            out = ord_add(out, self.parse_prod())
-        return out
+            yield self.parse_prod()
 
     def parse_prod(self) -> OrdTerm:
         if self.peek() == "W^":

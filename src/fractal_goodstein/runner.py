@@ -178,6 +178,9 @@ class _Steps:
     the consecutive steps of this run only, from step 0 until the reading
     stops, and its oracle is the fresh ThetaInterpretation(stage).value
     that every other kind reads at each step.
+
+    A death of the value column (bit budget or horizon) ends the run in
+    one handler; evidence catches its own errors, deaths included.
     """
 
     def __init__(
@@ -187,7 +190,7 @@ class _Steps:
             raise ValueError(f"unknown certificate mode: {certify!r}")
         if seed < 0:
             raise ValueError("seeds are nonnegative")
-        if max_steps is not None and (not isinstance(max_steps, int) or max_steps < 0):
+        if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
             raise ValueError("step caps are nonnegative integers")
         self.h = h
         self.seed = seed
@@ -209,53 +212,47 @@ class _Steps:
         value = psi_n = self.seed
         prev_u: CntTerm | None = None
         i = 0
-        while True:
-            try:
+        try:
+            while True:
                 stage = h.stage(i)
                 bound = h.step_bound(i)
                 if bound is not None and value > bound:
                     raise ValueError(f"value exceeds the stage-{i} bound {bound}")
                 # finding the base column can force materialization past the caps
-                base = stage.upper_base(value)
-            except _DEATHS as e:
-                self.outcome, self.detail = "budget_exceeded", str(e)
-                return
-            rec = StepRecord(i, value, base)
-            if want_theta and self.theta_stop is None:
-                try:
-                    rec.theta = read_theta(stage, value)
-                except _CERT_ERRORS as e:
-                    self.theta_stop = {"step": i, "reason": str(e)}
-            if want_psi and self.psi_stop is None:
-                try:
-                    if psi_n > value:
-                        raise OrdinalError("witness overtook the value")
-                    u = PsiInterpretation(stage).value(psi_n)
-                    if prev_u is not None and fund_seq_cnt(prev_u, i) != u:
-                        raise OrdinalError("witness chain lost its linkage")
-                    rec.psi_n, rec.psi_u = psi_n, u
-                    prev_u = u
-                except _CERT_ERRORS as e:
-                    self.psi_stop = {"step": i, "reason": str(e)}
-            yield rec
-            if value == 0:
-                self.outcome = "terminated"
-                return
-            if self.max_steps is not None and i >= self.max_steps:
-                self.outcome = "step_cap"
-                return
-            if want_psi and self.psi_stop is None:
-                try:
-                    plus = h.plus_object(i)
-                    psi_n = majorize_witness(stage, plus.index, psi_n, i + 1, h.budget, plus)
-                except _CERT_ERRORS as e:
-                    self.psi_stop = {"step": i, "reason": str(e)}
-            try:
+                rec = StepRecord(i, value, stage.upper_base(value))
+                if want_theta and self.theta_stop is None:
+                    try:
+                        rec.theta = read_theta(stage, value)
+                    except _CERT_ERRORS as e:
+                        self.theta_stop = {"step": i, "reason": str(e)}
+                if want_psi and self.psi_stop is None:
+                    try:
+                        if psi_n > value:
+                            raise OrdinalError("witness overtook the value")
+                        u = PsiInterpretation(stage).value(psi_n)
+                        if prev_u is not None and fund_seq_cnt(prev_u, i) != u:
+                            raise OrdinalError("witness chain lost its linkage")
+                        rec.psi_n, rec.psi_u = psi_n, u
+                        prev_u = u
+                    except _CERT_ERRORS as e:
+                        self.psi_stop = {"step": i, "reason": str(e)}
+                yield rec
+                if value == 0:
+                    self.outcome = "terminated"
+                    return
+                if self.max_steps is not None and i >= self.max_steps:
+                    self.outcome = "step_cap"
+                    return
+                if want_psi and self.psi_stop is None:
+                    try:
+                        plus = h.plus_object(i)
+                        psi_n = majorize_witness(stage, plus.index, psi_n, i + 1, h.budget, plus)
+                    except _CERT_ERRORS as e:
+                        self.psi_stop = {"step": i, "reason": str(e)}
                 value = h.upgrade_step(i, value) - 1
-            except _DEATHS as e:
-                self.outcome, self.detail = "budget_exceeded", str(e)
-                return
-            i += 1
+                i += 1
+        except _DEATHS as e:
+            self.outcome, self.detail = "budget_exceeded", str(e)
 
 
 def run(
@@ -362,6 +359,8 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         caps = head["caps"]
         horizon = caps.get("horizon", DEFAULT_HORIZON)
         h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]), horizon)
+        if h.spec_string() != head["hierarchy"]:
+            raise ValueError(f"not a canonical hierarchy description: {head['hierarchy']!r:.40}")
         steps = _Steps(h, _str_int(head["seed"]), caps["certify"], caps["max_steps"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         return VerifyReport(False, [f"malformed header: {e}"])

@@ -35,7 +35,9 @@ class UpgradeContext:
     """Memoized upgrade operator from a hierarchy into a successor hierarchy.
 
     Values are filled from 0 upward, since each upgrade thresholds against
-    the previous one.  Once an upgrade comes out infinite, all later ones do.
+    the previous one.  Once an upgrade comes out infinite, all later ones
+    do, so the table holds the finite upgrades only: _infinite marks that
+    the next one is infinite, and upgrade(n) is INFINITY from len(_up) on.
     """
 
     def __init__(
@@ -49,7 +51,8 @@ class UpgradeContext:
         self.target = _coerce(target)
         self.budget = budget
         self._fast = fast_paths
-        self._up: list[ExtNat] = []
+        self._up: list[int] = []
+        self._infinite = False
         self._chosen: dict[int, int] = {}
         self._singleton = (
             fast_paths
@@ -71,11 +74,13 @@ class UpgradeContext:
             self._chosen[n] = self.target.min_base
             return val
         while len(self._up) <= n:
+            if self._infinite:
+                return INFINITY
             self._fill_next()
         return self._up[n]
 
     def chosen_base(self, n: int) -> int | None:
-        """Target base of the upgrade of n (None below the source minimum)."""
+        """Target base of the upgrade of n (None below the source minimum or when infinite)."""
         self.upgrade(n)
         return self._chosen.get(n)
 
@@ -92,52 +97,41 @@ class UpgradeContext:
         return _phi_value(self.upgrade, b, c, m, self.budget, self.source.min_base)
 
     def _fill_next(self) -> None:
+        """Append the upgrade of m = len(_up), or set _infinite when it has none.
+
+        The digits, exponents, remainder, base and block of m all lie below
+        m, so their upgrades are in the table and finite.
+        """
         m = len(self._up)
-        minb = self.source.min_base
-        if m < minb:
+        if m < self.source.min_base:
             self._up.append(m)
             return
         prev = self._up[m - 1]
-        if prev is INFINITY:
-            self._up.append(INFINITY)
-            return
         if m in self.source:
             # the deep change of a base element is the candidate base itself,
             # so the least target element past the previous upgrade wins
-            for c in self.target.elements_from(prev + 1):
-                self._chosen[m] = c
-                self._up.append(c)
+            c = next(self.target.elements_from(prev + 1), None)
+            if c is None:
+                self._infinite = True
                 return
-            self._up.append(INFINITY)
+            self._chosen[m] = c
+            self._up.append(c)
             return
         b = self.source.upper_base(m)
         if self._fast:
             # block decomposition: upgrades distribute over the final digit
             a, r = divmod(m, b)
             if r:
-                block = self._up[b * a]
-                off = self._up[r]
-                if block is INFINITY or off is INFINITY:
-                    self._up.append(INFINITY)
-                    return
-                self._up.append(self.budget.check(block + off))
-                chosen = self._chosen.get(b * a)
-                if chosen is not None:
-                    self._chosen[m] = chosen
+                self._up.append(self.budget.check(self._up[b * a] + self._up[r]))
+                self._chosen[m] = self._chosen[b * a]
                 return
-        ub = self._up[b]
-        if ub is INFINITY:
-            self._up.append(INFINITY)
-            return
-        for c in self.target.elements_from(ub):
+        for c in self.target.elements_from(self._up[b]):
             val = self._phi(b, c, m)
-            if val is INFINITY or val <= prev:
-                continue
-            if val < self.target.s_next(c):
+            if prev < val < self.target.s_next(c):
                 self._chosen[m] = c
                 self._up.append(val)
                 return
-        self._up.append(INFINITY)
+        self._infinite = True
 
 
 def upgrade(

@@ -7,18 +7,18 @@ give the same term at every step, and raise, with the same text, exactly at
 the step the run records as its theta stop.
 """
 
-import contextlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractal_goodstein import interpretations, ordinal_terms
+from fractal_goodstein import interpretations
 from fractal_goodstein.hierarchy import FiniteHierarchy
 from fractal_goodstein.interpretations import ClassicThetaReader, ThetaInterpretation
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import BIG_OMEGA, CNT_ONE, theta
 from fractal_goodstein.runner import _CERT_ERRORS, run, verify_trace
+from oracles import term_budgets
 
 
 def _stage(i):
@@ -38,18 +38,6 @@ def _assert_matches_fresh(result):
     assert result.theta_stop == stop
 
 
-@contextlib.contextmanager
-def _term_budgets(monkeypatch, nodes, depth):
-    """Patched term budgets over cold tables: a stored term skips the size check."""
-    for cls in (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm):
-        cls._table.clear()
-        cls._table.update(cls._seed)
-    with monkeypatch.context() as m:
-        m.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
-        m.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
-        yield
-
-
 # from seed 17 on, a classic run climbs to a million bits within 40 steps and
 # spends minutes in base changes, so the wide budget takes the smaller seeds
 @pytest.mark.parametrize("bits, seeds", [(8, 41), (16, 41), (64, 41), (4096, 41), (1 << 20, 17)])
@@ -62,9 +50,9 @@ def test_reader_matches_fresh_readings_on_small_seeds(bits, seeds):
 @pytest.mark.parametrize(
     "nodes, depth", [(8, 200), (12, 200), (16, 200), (22, 200), (10_000, 6), (10_000, 9)]
 )
-def test_reader_matches_fresh_readings_under_small_term_budgets(monkeypatch, nodes, depth):
+def test_reader_matches_fresh_readings_under_small_term_budgets(nodes, depth):
     stops = 0
-    with _term_budgets(monkeypatch, nodes, depth):
+    with term_budgets(nodes, depth):
         for seed in range(41):
             result = run("classic", seed, max_steps=40, budget=BitBudget(4096), certify="theta")
             _assert_matches_fresh(result)
@@ -135,9 +123,9 @@ def test_fresh_readings_only_where_the_tail_cannot_be_reused(monkeypatch):
     assert len(fresh) < 20
 
 
-def test_a_certificate_at_the_node_budget_is_written_and_verifies(monkeypatch):
+def test_a_certificate_at_the_node_budget_is_written_and_verifies():
     # printing a certificate must not lift it into a term one node larger
-    with _term_budgets(monkeypatch, 16, 200):
+    with term_budgets(16, 200):
         result = run("classic", 5, max_steps=40, certify="both")
         assert result.outcome == "step_cap"
         assert max(r.theta.size for r in result.records if r.theta is not None) == 16

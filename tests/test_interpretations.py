@@ -27,12 +27,12 @@ from fractal_goodstein.ordinal_terms import (
     compare,
     compare_cnt,
     compare_spines,
+    fund_seq,
     fund_seq_cnt,
     lift,
     natural_sum,
     omega_monomial,
     omega_tower,
-    ord_add,
     parse_term,
     plus_big_omega,
     term_to_str,
@@ -41,6 +41,7 @@ from fractal_goodstein.ordinal_terms import (
 from fractal_goodstein.runner import run
 from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext
+from oracles import cold_outcome, cold_tables, ord_add, outcome, term_budgets
 
 
 def cnt(text):
@@ -204,6 +205,27 @@ def test_fs_witness_base_element():
     assert fs_witness(side, 3, 27, IotaProvenance(0, 0)) == 1
 
 
+def test_fs_witness_steps_a_successor_exponent():
+    # s = b^e whose exponent reads as a successor: Omega^(a+1)[i] = Omega^a * i,
+    # realized by b^(new exponent) * i; the provenance i must realize the
+    # index, so an index at or above the minimum base raises
+    successor = 0
+    for bases in ([2], [3], [2, 6], [3, 12]):
+        interp = PsiInterpretation(bases)
+        for b in bases:
+            for e in range(b, b + 6):
+                s = b**e
+                for i in range(4):
+                    try:
+                        w = fs_witness(interp, b, s, IotaProvenance(i, i))
+                    except OrdinalError:
+                        continue
+                    entry = fund_seq(interp.upper_base_term(b, s), i)
+                    assert interp.upper_base_term(b, w) == entry, (bases, b, e, i)
+                    successor += interp.upper_base_term(b, e).tail.fin > 0
+    assert successor == 44
+
+
 def test_majorize_witness_small_values():
     assert majorize_witness([2], 0, 0, 1) == 0
     assert majorize_witness([2], 0, 1, 1) == 0  # below the minimum: n - 1
@@ -277,23 +299,6 @@ def test_theta_digit_reading_boundary():
 # --- one-pass sums and spine comparison -----------------------------------------
 
 HIERARCHIES = ([2], [3], [2, 6], [3, 12], [2, 4, 8], [2, 6, 36])
-TERM_CLASSES = (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm)
-
-
-def _cold_tables():
-    """Tables holding only the constants: no stored term skips a patched check."""
-    for cls in TERM_CLASSES:
-        cls._table.clear()
-        cls._table.update(cls._seed)
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except BudgetExceededError as e:
-        return f"raises {e}"
-
-
 def fold_o_from_digits(b, f, x, rest=None, seen=None):
     """The left fold acc = ord_add(acc, Omega^exp * f(a)) that ord_sum replaces.
 
@@ -357,26 +362,36 @@ def test_one_pass_readings_equal_the_fold():
 
 
 @pytest.mark.parametrize("nodes, depth", [(8, 200), (12, 200), (20, 200), (10_000, 4), (10_000, 6)])
-def test_one_pass_readings_raise_what_the_fold_raises(monkeypatch, nodes, depth):
-    monkeypatch.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
-    monkeypatch.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
+def test_one_pass_readings_raise_what_the_fold_raises(nodes, depth):
     seen = set()
-    for bases in HIERARCHIES:
-        for interp_cls in (ThetaInterpretation, PsiInterpretation):
-            for b in bases:
-                for n in (*range(b, 60), *_adjacent_powers(b), b**b + b, 2 * b**3 + b + 1):
-                    _cold_tables()
-                    one_pass = _outcome(interp_cls(bases).upper_base_term, b, n)
-                    _cold_tables()
-                    interp = interp_cls(bases)
-                    digit = interp._digit if interp_cls is ThetaInterpretation else interp.value
-                    fold = _outcome(fold_o_from_digits, b, digit, n, interp.value, seen)
-                    assert one_pass == fold, (interp_cls.__name__, bases, b, n)
-    _cold_tables()
+    with term_budgets(nodes, depth):
+        for bases in HIERARCHIES:
+            for interp_cls in (ThetaInterpretation, PsiInterpretation):
+                for b in bases:
+                    for n in (*range(b, 60), *_adjacent_powers(b), b**b + b, 2 * b**3 + b + 1):
+                        one_pass = cold_outcome(interp_cls(bases).upper_base_term, b, n)
+                        interp = interp_cls(bases)
+                        digit = interp._digit if interp_cls is ThetaInterpretation else interp.value
+                        fold = cold_outcome(fold_o_from_digits, b, digit, n, interp.value, seen)
+                        assert one_pass == fold, (interp_cls.__name__, bases, b, n)
+    cold_tables()
     if nodes < 10_000:
         # some partial sum, not only a monomial, was over budget; a partial
         # sum is never deeper than the term just added to it
         assert "partial" in seen
+
+
+def test_an_element_reading_lifts_the_value_below_it_first():
+    # upper of a non-minimal element adds the value of what is left below it
+    # as a term: that value is lifted first, so one at the node budget stops
+    # with the size of the lifted term, not of the larger sum
+    stop = "term of 8 nodes exceeds budget of 7 nodes"
+    with term_budgets(7):
+        assert cold_outcome(ThetaInterpretation([2, 4, 8]).upper, 4) == f"raises {stop}"
+        result = run("plus-chain: 2,4,8", 4, max_steps=30, certify="theta")
+    cold_tables()
+    assert result.theta_stop == {"step": 0, "reason": stop}
+    assert ThetaInterpretation([2, 4, 8]).upper(4) == ord_("W^1*1+v(W^1*1)")
 
 
 def test_certified_plus_chain_runs_stay_under_8000_compare_calls(monkeypatch):
@@ -393,7 +408,7 @@ def test_certified_plus_chain_runs_stay_under_8000_compare_calls(monkeypatch):
 
     monkeypatch.setattr(ordinal_terms, "compare", counted)
     monkeypatch.setattr(interpretations, "compare", counted)
-    _cold_tables()
+    cold_tables()
     for seed in (5, 6, 7):
         run("plus-chain: 2,6", seed, max_steps=300, certify="theta")
     assert calls < 8_000
@@ -415,14 +430,11 @@ def test_spine_compare_equals_compare_after_adding_omega():
                 assert compare_spines(x, y) == compare(plus_big_omega(x), plus_big_omega(y)), (x, y)
 
 
-def test_check_plus_big_omega_raises_exactly_when_the_build_would(monkeypatch):
+def test_check_plus_big_omega_raises_exactly_when_the_build_would():
     def agree(x, nodes, depth):
-        with monkeypatch.context() as m:
-            m.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
-            m.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
-            _cold_tables()
-            expected = _outcome(plus_big_omega, x)
-            checked = _outcome(check_plus_big_omega, x)
+        with term_budgets(nodes, depth):
+            expected = outcome(plus_big_omega, x)
+            checked = outcome(check_plus_big_omega, x)
         assert checked == (None if isinstance(expected, OrdTerm) else expected), (x, nodes, depth)
 
     for readings in list(_spine_readings()):
@@ -434,7 +446,7 @@ def test_check_plus_big_omega_raises_exactly_when_the_build_would(monkeypatch):
                 agree(x, nodes, 200)
             for depth in (max(built.depth - 1, x.depth, BIG_OMEGA.depth), built.depth):
                 agree(x, 10_000, depth)
-    _cold_tables()
+    cold_tables()
 
 
 class _BuildingTheta(ThetaInterpretation):
@@ -460,17 +472,15 @@ class _BuildingTheta(ThetaInterpretation):
 
 
 @pytest.mark.parametrize("nodes", [10, 14, 20, 30, 10_000])
-def test_star_and_value_match_building_x_plus_omega(monkeypatch, nodes):
-    monkeypatch.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
+def test_star_and_value_match_building_x_plus_omega(nodes):
     raised = 0
-    for bases in HIERARCHIES:
-        for n in range(0, 90):
-            for method in ("star", "value"):
-                _cold_tables()
-                spine = _outcome(getattr(ThetaInterpretation(bases), method), n)
-                _cold_tables()
-                built = _outcome(getattr(_BuildingTheta(bases), method), n)
-                assert spine == built, (bases, n, method)
-                raised += isinstance(spine, str)
-    _cold_tables()
+    with term_budgets(nodes):
+        for bases in HIERARCHIES:
+            for n in range(0, 90):
+                for method in ("star", "value"):
+                    spine = cold_outcome(getattr(ThetaInterpretation(bases), method), n)
+                    built = cold_outcome(getattr(_BuildingTheta(bases), method), n)
+                    assert spine == built, (bases, n, method)
+                    raised += isinstance(spine, str)
+    cold_tables()
     assert raised or nodes == 10_000

@@ -38,7 +38,6 @@ from fractal_goodstein.ordinal_terms import (
     natural_sum_cnt,
     omega_monomial,
     omega_tower,
-    ord_add,
     ord_sum,
     parse_term,
     plus_big_omega,
@@ -48,6 +47,7 @@ from fractal_goodstein.ordinal_terms import (
     theta,
 )
 from fractal_goodstein.runner import run, verify_trace
+from oracles import TERM_CLASSES, cold_outcome, ord_add, term_budgets
 
 W_W = omega_monomial(BIG_OMEGA, CNT_ONE)  # Omega^Omega
 
@@ -183,12 +183,17 @@ def test_compare_is_a_total_order_psi(a, b, c):
 # --- arithmetic -------------------------------------------------------------
 
 
+def _add(x, y):
+    """x + y through the library's sum."""
+    return ord_sum((x, y))
+
+
 def test_ord_add_absorbs_on_the_left():
-    assert ord_add(ONE, OMEGA_ORD) == OMEGA_ORD
-    assert ord_add(fin_ord(3), BIG_OMEGA) == BIG_OMEGA
-    assert s(ord_add(BIG_OMEGA, ONE)) == "W^1*1+1"
+    assert _add(ONE, OMEGA_ORD) == OMEGA_ORD
+    assert _add(fin_ord(3), BIG_OMEGA) == BIG_OMEGA
+    assert s(_add(BIG_OMEGA, ONE)) == "W^1*1+1"
     # equal exponents add their coefficients as ordinals: W + W*w = W*(1+w)
-    assert s(ord_add(BIG_OMEGA, omega_monomial(ONE, OMEGA))) == "W^1*w"
+    assert s(_add(BIG_OMEGA, omega_monomial(ONE, OMEGA))) == "W^1*w"
     assert cnt_add(CNT_ONE, OMEGA) == OMEGA
     assert s(cnt_add(OMEGA, CNT_ONE)) == "w+1"
 
@@ -234,10 +239,10 @@ ORD_TRIPLES = {
 @given(data=st.data())
 def test_sum_laws_on_ord_terms(family, data):
     x, y, z = data.draw(ORD_TRIPLES[family])
-    assert ord_add(ord_add(x, y), z) == ord_add(x, ord_add(y, z))
+    assert _add(_add(x, y), z) == _add(x, _add(y, z))
     # strictly monotone on the right: x + y against x + z orders as y against z
-    assert compare(ord_add(x, y), ord_add(x, z)) == compare(y, z)
-    assert compare(ord_add(x, y), y) >= 0
+    assert compare(_add(x, y), _add(x, z)) == compare(y, z)
+    assert compare(_add(x, y), y) >= 0
     assert natural_sum(x, y) == natural_sum(y, x)
     assert natural_sum(natural_sum(x, y), z) == natural_sum(x, natural_sum(y, z))
     assert compare(natural_sum(x, y), natural_sum(x, z)) == compare(y, z)
@@ -251,17 +256,6 @@ ORD_LISTS = {
 }
 
 
-def _cold_outcome(fn, *args):
-    """fn(*args) from tables holding only the constants, or the text it raises."""
-    for cls in TERM_CLASSES:
-        cls._table.clear()
-        cls._table.update(cls._seed)
-    try:
-        return fn(*args)
-    except BudgetExceededError as e:
-        return f"raises {e}"
-
-
 @pytest.mark.parametrize("family", ORD_LISTS)
 @settings(max_examples=100, deadline=None)
 @given(
@@ -273,11 +267,9 @@ def test_ord_sum_is_the_ord_add_fold(family, data, nodes, depth):
     # under the budgets too: ord_sum raises the text the fold raises, at the
     # same partial sum; stored terms would skip the checks, so tables are cold
     xs = data.draw(ORD_LISTS[family])
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
-        m.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
-        one_pass = _cold_outcome(ord_sum, xs)
-        fold = _cold_outcome(reduce, ord_add, xs, ZERO)
+    with term_budgets(nodes, depth):
+        one_pass = cold_outcome(ord_sum, xs)
+        fold = cold_outcome(reduce, ord_add, xs, ZERO)
     _restore_tables()
     assert one_pass == fold
 
@@ -470,9 +462,6 @@ def test_deep_terms_hit_the_depth_budget():
 
 
 # --- construction table -------------------------------------------------------
-
-TERM_CLASSES = (Atom, CntTerm, OrdTerm)
-
 
 # the tables as collection left them: one epoch, module constants included
 _COLLECTED = {cls: dict(cls._table) for cls in TERM_CLASSES}

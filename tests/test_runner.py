@@ -1,12 +1,12 @@
 """End-to-end runs, trace verification, tampering, and the witness chain."""
 
+import functools
 import json
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractal_goodstein import ordinal_terms
 from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import as_cnt, lift, parse_term, term_to_str
@@ -20,6 +20,7 @@ from fractal_goodstein.successors import (
     hierarchy_from_spec,
     static_hierarchy_from_spec,
 )
+from oracles import term_budgets
 
 
 def naive_rebase(n, b, c):
@@ -166,6 +167,21 @@ def certified_lines():
     return run("classic", 3, certify="both").trace_lines()
 
 
+@functools.cache
+def _trace(spec, seed, max_steps, bits, certify):
+    return run(spec, seed, max_steps=max_steps, budget=BitBudget(bits), certify=certify).trace_lines()
+
+
+def _header(spec, seed, max_steps, bits, certify, key, value, subkey=None):
+    """A tampering of the header of another run's trace."""
+    return lambda ls: _mutate(_trace(spec, seed, max_steps, bits, certify), 0, key, value, subkey)
+
+
+_PLUS_CHAIN = ("plus-chain: 2,6", 3, 5, 1 << 20, "both")
+_ONE_STEP = ("classic", 3, 1, 1 << 20, "both")
+_ONE_BIT = ("classic", 1, 3, 1, "none")
+
+
 TAMPERINGS = [
     ("seed", lambda ls: _mutate(ls, 0, "seed", "4")),
     ("hierarchy", lambda ls: _mutate(ls, 0, "hierarchy", "ouroboros")),
@@ -206,6 +222,16 @@ TAMPERINGS = [
     ("psi u zero plus", lambda ls: _mutate(ls, 1, "psi", "0+p(W^1*1+1)", subkey="u")),
     ("version 1", lambda ls: _mutate(ls, 0, "version", 1)),
     ("row past the end", _row_past_the_end),
+    # other spellings of the true header: the hierarchy description parses to
+    # the same hierarchy and the caps compare equal to the true ones, yet only
+    # what run writes is accepted
+    ("hierarchy finite", _header(*_PLUS_CHAIN, "hierarchy", "finite: 2,6")),
+    ("hierarchy zero and comma", _header(*_PLUS_CHAIN, "hierarchy", "plus-chain:02,,6")),
+    ("hierarchy digits", _header(*_PLUS_CHAIN, "hierarchy", "plus-chain: \u0662,\u0666")),
+    ("hierarchy spaces", _header(*_PLUS_CHAIN, "hierarchy", " plus-chain: 2, 6 ")),
+    ("max steps true", _header(*_ONE_STEP, "caps", True, subkey="max_steps")),
+    ("bit budget true", _header(*_ONE_BIT, "caps", True, subkey="bit_budget")),
+    ("bit budget float", _header(*_ONE_BIT, "caps", 1.0, subkey="bit_budget")),
 ]
 
 
@@ -599,14 +625,10 @@ def test_cli_interp(capsys):
     assert capsys.readouterr().out.strip() == "p(W^1*1+p(W^(W^1*1)*1))"
 
 
-def test_cli_interp_prints_a_value_at_the_node_budget(monkeypatch, capsys):
+def test_cli_interp_prints_a_value_at_the_node_budget(capsys):
     # the value has exactly 40 nodes: printing must not lift it into a term
     # one node larger; stored terms would skip the check, so tables are cold
-    for cls in (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm):
-        cls._table.clear()
-        cls._table.update(cls._seed)
-    with monkeypatch.context() as m:
-        m.setattr(ordinal_terms, "TERM_NODE_BUDGET", 40)
+    with term_budgets(40):
         assert cli("interp", "o", "--hierarchy", "finite: 2,6", "--n", "16") == 0
     out = capsys.readouterr().out.strip()
     assert out == "v(W^1*v(W^1*1)+v(W^(W^1*1)*1+v(W^(W^1*1)*1))+v(W^(W^1*1)*1))"

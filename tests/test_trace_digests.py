@@ -10,9 +10,9 @@ import hashlib
 
 import pytest
 
-from fractal_goodstein import ordinal_terms
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.runner import run
+from oracles import term_budgets
 
 SPECS = ["classic", "plus-chain: 2,6", "finite-for: 3", "ouroboros", "diagonal", "finite: 3,12"]
 
@@ -29,31 +29,25 @@ PINNED = {
 }
 
 
-def _run_under(monkeypatch, spec, seed, bits, nodes, depth):
+def _run_under(spec, seed, bits, nodes, depth):
     """One run under the given budgets, from tables that hold only the constants.
 
     A stored term is returned without a size check, so a run under a patched
     term budget starts from cold tables; the trace is then printed under the
-    real budgets, since a printed countable term is lifted by one node.
+    real budgets.
     """
-    if (nodes, depth) != (ordinal_terms.TERM_NODE_BUDGET, ordinal_terms.TERM_DEPTH_BUDGET):
-        for cls in (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm):
-            cls._table.clear()
-            cls._table.update(cls._seed)
-    with monkeypatch.context() as m:
-        m.setattr(ordinal_terms, "TERM_NODE_BUDGET", nodes)
-        m.setattr(ordinal_terms, "TERM_DEPTH_BUDGET", depth)
+    with term_budgets(nodes, depth):
         result = run(spec, seed, max_steps=40, budget=BitBudget(bits), certify="both")
     return result.trace_lines()
 
 
 @pytest.mark.parametrize("bits, nodes, depth", list(PINNED))
-def test_trace_digests_are_pinned(monkeypatch, bits, nodes, depth):
+def test_trace_digests_are_pinned(bits, nodes, depth):
     digest = hashlib.sha256()
     for spec in SPECS:
         for seed in range(8):
             try:
-                lines = _run_under(monkeypatch, spec, seed, bits, nodes, depth)
+                lines = _run_under(spec, seed, bits, nodes, depth)
             except ValueError as e:  # a seed above the first stage's bound
                 lines = [f"ValueError: {e}"]
             for line in lines:

@@ -106,6 +106,25 @@ def test_upgrade_beyond_target_hierarchy_is_infinite():
     assert up.upgrade(7) is INFINITY
 
 
+def test_the_candidate_search_stops_where_the_fast_paths_do():
+    # past the first infinite upgrade every later one is infinite and has no
+    # chosen base, with or without the block decomposition
+    fast = UpgradeContext([2, 6], [3, 12])
+    slow = UpgradeContext([2, 6], [3, 12], fast_paths=False)
+    for n in range(41):
+        assert slow.upgrade(n) == fast.upgrade(n), n
+        assert slow.chosen_base(n) == fast.chosen_base(n), n
+        assert (slow.upgrade(n) is INFINITY) == (n >= 6), n
+    assert slow.chosen_base(40) is None
+
+
+def test_an_infinite_digit_makes_the_deep_change_infinite():
+    # 7 * 36 has the digit 7 over base 36, and the upgrade of 7 is infinite
+    up = UpgradeContext([2, 6, 36], [3, 12])
+    assert up.upgrade(7) is INFINITY
+    assert up.deep_base_change(36, 12, 7 * 36) is INFINITY
+
+
 def test_digit_transfer_and_divisibility():
     B = FiniteHierarchy(PAIR1[0])
     up = UpgradeContext(*PAIR1)
