@@ -3,6 +3,10 @@
 Everything here works on plain Python ints and never goes through
 floating point.  A bit budget guards against materializing numbers so
 wide that downstream work becomes infeasible.
+
+A deep base change takes each wide power once: its c**pe is the b**e of the
+next step's decomposition in base c, handed on in a run's table, and within a
+walk a power is derived from the one above it, exact and no wider than it.
 """
 
 from __future__ import annotations
@@ -107,12 +111,17 @@ class Infinity:
 INFINITY = Infinity()
 
 ExtNat = int | Infinity
+Powers = dict[tuple[int, int], int]  # a run's table: (b, k) -> b**k
 
 
 # log2 of a base is bounded in fixed point with _LOG_BITS fraction bits,
 # computed on a mantissa of _LOG_BITS + 4 bits
 _LOG_BITS = 64
 _MANT_BITS = _LOG_BITS + 4
+
+_WIDE_BITS = 1024  # a walk over a value this wide takes each wide power once
+_LADDER_BITS = 256  # the widest divisor that derives a power from the one above
+_POWERS_CAP = 8  # entries a run's table of powers keeps
 
 
 @lru_cache(maxsize=4096)
@@ -147,21 +156,35 @@ def _log2_ceil(b: int) -> int:
     return (k << _LOG_BITS) + _log2_frac(top) + 2
 
 
-def _floor_log(n: int, b: int) -> tuple[int, int]:
+def _floor_log(
+    n: int, b: int, above: tuple[int, int] | None = None, powers: Powers | None = None
+) -> tuple[int, int]:
     """Largest e with b**e <= n, together with b**e.  Requires n >= 1, b >= 2.
 
     A start e0 with b**e0 <= n is stepped up by multiplications by b.  For
     n wider than 64 bits, e0 comes from the bit length L of n and an upper
     bound h on log2(b) from _log2_ceil, both in integers: e0 = floor((L - 1)
     / h) has e0 * log2(b) <= L - 1, so b**e0 <= 2**(L - 1) <= n.  b**e0 is
-    then the one power taken, and at most two steps remain.
+    then the one power taken, and at most two steps remain, unless a power is
+    at hand: entries (b, e0 .. e0 + 2) are popped from ``powers`` and the
+    largest at most n starts; else, given ``above`` = (e', b**e') with
+    n < b**e', b**e0 = b**e' // b**(e' - e0) when that divisor is narrow.
     """
     if n.bit_length() <= 64:
         # here e <= 63, in practice a handful: cheaper to count up from 0
         e, power = 0, 1
     else:
         e = ((n.bit_length() - 1) << _LOG_BITS) // _log2_ceil(b)
-        power = b**e
+        power = 0
+        if powers:
+            for k in (e, e + 1, e + 2):
+                if 0 < (p := powers.pop((b, k), 0)) <= n:
+                    e, power = k, p
+        if not power:
+            if above and 0 < (g := above[0] - e) * b.bit_length() <= _LADDER_BITS:
+                power = above[1] // b**g
+            else:
+                power = pow(b, e)
         # The answer e* has b**e* <= n < 2**L, so it lies below
         # L / log2(b) <= (L - 1) / log2(b) + 1, and the floor puts e0 above
         # (L - 1) / h - 1, where h exceeds log2(b) by at most
@@ -225,6 +248,7 @@ def _phi_value(
     m: int,
     budget: BitBudget,
     low: int,
+    powers: Powers | None = None,
 ) -> ExtNat:
     """Deep base change of m: hereditary base-b monomials rebuilt over c.
 
@@ -233,23 +257,43 @@ def _phi_value(
     recursively.  Infinite digit upgrades make the whole value infinite.
     With low == b no digit is upgraded (up is never called): that is the
     hereditary base change.
+
+    A walk over an m of _WIDE_BITS or more reads its first b**e from the table
+    ``powers`` and puts each fresh c**pe there, the b**e of the next step's
+    decomposition in base c; later powers are exact quotients of the ones
+    before, smaller than one budget.pow already checked, so deaths are the same.
     """
     if m < b:
         return m if m < low else up(m)
     acc: ExtNat = 0
     rest = m
+    wide = m.bit_length() >= _WIDE_BITS
+    above = cpow = None  # in a wide walk, (e, b**e) and (pe, c**pe) of the monomial before
     # walk monomials iteratively; recursion depth is only the exponent tower
     while rest >= b:
-        _, e, a, r = decompose(rest, b)
+        if wide:
+            e, bpow = above = _floor_log(rest, b, above, None if above else powers)
+            a, r = divmod(rest, bpow)
+        else:
+            _, e, a, r = decompose(rest, b)
         if e < b:  # most exponents are single digits: no recursive call
             pe = e if e < low else up(e)
         else:
-            pe = _phi_value(up, b, c, e, budget, low)
+            pe = _phi_value(up, b, c, e, budget, low, powers)
         ua = a if a < low else up(a)
         if pe is INFINITY or ua is INFINITY:
             acc = INFINITY
             break
-        acc = budget.check(acc + budget.pow(c, pe) * ua)
+        if cpow and 0 < (g := cpow[0] - pe) * c.bit_length() <= _LADDER_BITS:
+            power = cpow[1] // c**g
+        else:
+            power = budget.pow(c, pe)
+            if wide and powers is not None and power.bit_length() >= _WIDE_BITS:
+                powers[c, pe] = power
+                if len(powers) > _POWERS_CAP:
+                    del powers[next(iter(powers))]
+        cpow = wide and (pe, power)
+        acc = budget.check(acc + power * ua)
         rest = r
     if acc is not INFINITY and rest:
         tail = rest if rest < low else up(rest)

@@ -357,6 +357,8 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         if head.get("version") != TRACE_VERSION:
             return VerifyReport(False, ["not a recognized trace header"])
         caps = head["caps"]
+        if caps.get("horizon") == DEFAULT_HORIZON:
+            raise ValueError(f"a run leaves the default horizon {DEFAULT_HORIZON} out of its caps")
         horizon = caps.get("horizon", DEFAULT_HORIZON)
         h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]), horizon)
         if h.spec_string() != head["hierarchy"]:

@@ -34,8 +34,8 @@ from .numerals import (
     BitBudget,
     ExtNat,
     INFINITY,
+    Powers,
     _phi_value,
-    base_change,
     superexp,
 )
 
@@ -64,6 +64,7 @@ class PlusHierarchy(Hierarchy):
         index: int,
         budget: BitBudget = DEFAULT_BUDGET,
         horizon: int = DEFAULT_HORIZON,
+        powers: Powers | None = None,
     ) -> None:
         if index < 0:
             raise ValueError("successor index cannot be negative")
@@ -71,6 +72,7 @@ class PlusHierarchy(Hierarchy):
         self.index = index
         self.budget = budget
         self._hor = horizon
+        self._powers = powers
         self._elems = [self.base.min_base + 1]
         self._added_at = [0]
         self._frontier = self.base.min_base
@@ -214,7 +216,9 @@ class PlusHierarchy(Hierarchy):
         return self._elems[bisect_right(self._added_at, n) - 1]
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
-        return _phi_value(self.upgrade_value, b, c, m, self.budget, self.base.min_base)
+        return _phi_value(
+            self.upgrade_value, b, c, m, self.budget, self.base.min_base, self._powers
+        )
 
 
 def ouroboros_stage(
@@ -248,6 +252,10 @@ class DynamicalHierarchy:
     ``_next_stage(j, plus)`` of the successor ``plus`` of stage j with index
     ``_successor_index(j)``.  By default that is the whole j-th successor,
     started from {2}: the ouroboros construction.
+
+    Each object owns its run's table of wide powers, ``_powers``, which its
+    successors and upgrades pass to _phi_value.  Entries are exact, so any call
+    order gives the same values; verify_trace builds its own object and table.
     """
 
     kind: str
@@ -264,6 +272,7 @@ class DynamicalHierarchy:
         self.horizon = horizon
         self._stages: list[Hierarchy] = [FiniteHierarchy([2]) if first is None else first]
         self._plus: list[PlusHierarchy] = []
+        self._powers: Powers = {}
         # the death of the build of successor len(_plus), as type and args:
         # its traceback's frames would keep the wide half-built bases alive
         self._death: tuple[type[Exception], tuple] | None = None
@@ -292,7 +301,7 @@ class DynamicalHierarchy:
                 raise kind(*args)
             j = len(self._plus)
             p = PlusHierarchy(
-                self._stages[j], self._successor_index(j), self.budget, self.horizon
+                self._stages[j], self._successor_index(j), self.budget, self.horizon, self._powers
             )
             try:
                 nxt = self._next_stage(j, p)
@@ -345,7 +354,11 @@ class ClassicHierarchy(DynamicalHierarchy):
         return FiniteHierarchy([i + 2])
 
     def upgrade_step(self, i: int, n: int) -> int:
-        return base_change(n, i + 2, i + 3, self.budget)
+        # base_change(n, i + 2, i + 3, self.budget), with the run's table of powers
+        if n < 0:
+            raise ValueError(f"cannot base-change {n}")
+        self.budget.check(n)
+        return _phi_value(None, i + 2, i + 3, n, self.budget, i + 2, self._powers)
 
 
 class PlusChainHierarchy(DynamicalHierarchy):

@@ -1,10 +1,14 @@
-"""Shared test oracles and helpers for the term calculus.
+"""Shared test oracles and helpers for the term calculus and the deep base change.
 
 ord_add is the pairwise ordinal sum that the library's one-pass ord_sum
 replaced: it builds every partial sum, and so checks each against the term
-budgets.  The other helpers run code under patched term budgets from cold
-tables: a stored term is returned without a size check, so a patched budget
-only bites on terms built after the tables are reset to the constants.
+budgets.  The term-budget helpers run code under patched term budgets from
+cold tables: a stored term is returned without a size check, so a patched
+budget only bites on terms built after the tables are reset to the constants.
+
+textbook_deep_change is the deep base change that numerals._phi_value
+computes, written out: every base-b digit by repeated division, and a fresh
+power for every monomial.
 """
 
 import contextlib
@@ -12,7 +16,7 @@ import contextlib
 import pytest
 
 from fractal_goodstein import ordinal_terms
-from fractal_goodstein.numerals import BudgetExceededError
+from fractal_goodstein.numerals import INFINITY, BudgetExceededError
 from fractal_goodstein.ordinal_terms import OrdTerm, cnt_add, compare
 
 TERM_CLASSES = (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm)
@@ -63,3 +67,32 @@ def cold_outcome(fn, *args):
     """outcome(fn, *args) from cold tables."""
     cold_tables()
     return outcome(fn, *args)
+
+
+def textbook_deep_change(up, b, c, m, budget, low):
+    """Each base-b monomial b**e * a of m rebuilt as c**pe * ua, top down.
+
+    pe is the deep change of e, ua is a, or up(a) from ``low`` on, and the
+    units digit is kept or upgraded the same way.  Upgrades are asked for,
+    and the budget consulted, in the order numerals._phi_value does, so a
+    death raises the same text; an infinite upgrade makes the change infinite.
+    """
+    if m < b:
+        return m if m < low else up(m)
+    ds = []
+    while m:
+        m, d = divmod(m, b)
+        ds.append(d)
+    acc = 0
+    for e in range(len(ds) - 1, 0, -1):
+        if not ds[e]:
+            continue
+        pe = textbook_deep_change(up, b, c, e, budget, low)
+        ua = ds[e] if ds[e] < low else up(ds[e])
+        if pe is INFINITY or ua is INFINITY:
+            return INFINITY
+        acc = budget.check(acc + budget.pow(c, pe) * ua)
+    if not ds[0]:
+        return acc
+    tail = ds[0] if ds[0] < low else up(ds[0])
+    return INFINITY if tail is INFINITY else budget.check(acc + tail)

@@ -380,6 +380,16 @@ def test_the_default_horizon_stays_out_of_the_header(certified_lines):
     assert "horizon" not in json.loads(certified_lines[0])["caps"]
 
 
+def test_an_explicit_default_horizon_is_a_malformed_header():
+    # run records the horizon only when it is not the default, so the
+    # default written out is a header no run produces
+    lines = run("plus-chain: 2,6", 3, max_steps=5, certify="both").trace_lines()
+    assert verify_trace(lines).ok
+    report = verify_trace(_mutate(lines, 0, "caps", 512, subkey="horizon"))
+    assert not report.ok
+    assert report.problems[0].startswith("malformed header")
+
+
 def test_horizon_tampering_is_rejected():
     lines = run("diagonal", 2, horizon=6).trace_lines()
     for forged_horizon in (5, 7, 512):
