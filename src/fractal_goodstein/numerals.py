@@ -4,9 +4,10 @@ Everything here works on plain Python ints and never goes through
 floating point.  A bit budget guards against materializing numbers so
 wide that downstream work becomes infeasible.
 
-A deep base change takes each wide power once: its c**pe is the b**e of the
-next step's decomposition in base c, handed on in a run's table, and within a
-walk a power is derived from the one above it, exact and no wider than it.
+A deep base change takes each wide power once: its first c**pe is the first
+b**e of the next step's decomposition in base c, handed on in a run's table,
+and within a walk a power is derived from the one above it, exact and no
+wider than it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ Powers = dict[tuple[int, int], int]  # a run's table: (b, k) -> b**k
 _LOG_BITS = 64
 _MANT_BITS = _LOG_BITS + 4
 
-_WIDE_BITS = 1024  # a walk over a value this wide takes each wide power once
+_WIDE_BITS = 1024  # narrowest value whose walk hands its first power on: narrower is cheap to take
 _LADDER_BITS = 256  # the widest divisor that derives a power from the one above
 _POWERS_CAP = 8  # entries a run's table of powers keeps
 
@@ -258,24 +259,21 @@ def _phi_value(
     With low == b no digit is upgraded (up is never called): that is the
     hereditary base change.
 
-    A walk over an m of _WIDE_BITS or more reads its first b**e from the table
-    ``powers`` and puts each fresh c**pe there, the b**e of the next step's
-    decomposition in base c; later powers are exact quotients of the ones
-    before, smaller than one budget.pow already checked, so deaths are the same.
+    A walk reads its first b**e from the table ``powers``, and a walk over an
+    m of _WIDE_BITS or more puts its first c**pe there: that is the b**e of
+    the next step's first decomposition in base c.  Later powers of a walk
+    are exact quotients of the ones above them, never wider than a power
+    budget.pow already checked, so deaths are the same.
     """
     if m < b:
         return m if m < low else up(m)
     acc: ExtNat = 0
     rest = m
-    wide = m.bit_length() >= _WIDE_BITS
-    above = cpow = None  # in a wide walk, (e, b**e) and (pe, c**pe) of the monomial before
+    above = cpow = None  # (e, b**e) and (pe, c**pe) of the monomial before
     # walk monomials iteratively; recursion depth is only the exponent tower
     while rest >= b:
-        if wide:
-            e, bpow = above = _floor_log(rest, b, above, None if above else powers)
-            a, r = divmod(rest, bpow)
-        else:
-            _, e, a, r = decompose(rest, b)
+        e, bpow = above = _floor_log(rest, b, above, None if above else powers)
+        a, r = divmod(rest, bpow)
         if e < b:  # most exponents are single digits: no recursive call
             pe = e if e < low else up(e)
         else:
@@ -288,11 +286,11 @@ def _phi_value(
             power = cpow[1] // c**g
         else:
             power = budget.pow(c, pe)
-            if wide and powers is not None and power.bit_length() >= _WIDE_BITS:
+            if cpow is None and powers is not None and m.bit_length() >= _WIDE_BITS:
                 powers[c, pe] = power
                 if len(powers) > _POWERS_CAP:
                     del powers[next(iter(powers))]
-        cpow = wide and (pe, power)
+        cpow = pe, power
         acc = budget.check(acc + power * ua)
         rest = r
     if acc is not INFINITY and rest:
@@ -301,10 +299,13 @@ def _phi_value(
     return acc
 
 
-def base_change(n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET) -> int:
+def base_change(
+    n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET, powers: Powers | None = None
+) -> int:
     """Rewrite n from hereditary base b to base c >= b, digits unchanged.
 
-    Strictly monotone in n, the identity when c == b.
+    Strictly monotone in n, the identity when c == b.  ``powers`` is the
+    caller's table of wide powers (see _phi_value); the result never depends on it.
     """
     if b < 2:
         raise ValueError(f"base must be at least 2, got {b}")
@@ -313,7 +314,7 @@ def base_change(n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET) -> i
     if n < 0:
         raise ValueError(f"cannot base-change {n}")
     budget.check(n)
-    return _phi_value(None, b, c, n, budget, b)
+    return _phi_value(None, b, c, n, budget, b, powers)
 
 
 def superexp(x: int, y: int, budget: BitBudget = DEFAULT_BUDGET) -> int:

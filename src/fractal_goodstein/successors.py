@@ -36,6 +36,7 @@ from .numerals import (
     INFINITY,
     Powers,
     _phi_value,
+    base_change,
     superexp,
 )
 
@@ -354,11 +355,7 @@ class ClassicHierarchy(DynamicalHierarchy):
         return FiniteHierarchy([i + 2])
 
     def upgrade_step(self, i: int, n: int) -> int:
-        # base_change(n, i + 2, i + 3, self.budget), with the run's table of powers
-        if n < 0:
-            raise ValueError(f"cannot base-change {n}")
-        self.budget.check(n)
-        return _phi_value(None, i + 2, i + 3, n, self.budget, i + 2, self._powers)
+        return base_change(n, i + 2, i + 3, self.budget, self._powers)
 
 
 class PlusChainHierarchy(DynamicalHierarchy):

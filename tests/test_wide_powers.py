@@ -1,10 +1,10 @@
-"""Deep base changes of wide values against the textbook change, and the powers they take.
+"""Deep base changes against the textbook change, and the wide powers they take.
 
-A walk over a value of at least _WIDE_BITS bits derives each power from the
-one above it and reads the first from its run's table of powers.  Every
-change here is checked against tests/oracles.textbook_deep_change, which
-takes a fresh power for every monomial, with equal values or equal budget
-error texts.
+A walk derives each power from the one above it when the divisor is narrow,
+reads its first from its run's table, and, over a value of at least
+_WIDE_BITS bits, hands its first power on there.  Every change here is checked against
+tests/oracles.textbook_deep_change, which takes a fresh power for every
+monomial, with equal values or equal budget error texts.
 """
 
 import builtins
@@ -47,10 +47,10 @@ def _ladder_gaps(*bases):
 
 
 @st.composite
-def wide_walks(draw, pairs):
-    """(b, c, m, budget): m of at least _WIDE_BITS bits, in runs and gaps of exponents."""
+def walks(draw, pairs):
+    """(b, c, m, budget): m mostly of _WIDE_BITS or more, in runs and gaps of exponents."""
     b, c = draw(st.sampled_from(pairs))
-    bits = draw(st.integers(_WIDE_BITS, 4 * _WIDE_BITS))
+    bits = draw(st.integers(_WIDE_BITS, 4 * _WIDE_BITS) | st.integers(8, _WIDE_BITS))
     top = -(-bits // (b.bit_length() - 1 or 1))
     if b * b.bit_length() <= 12_000 and draw(st.booleans()):
         top = max(top, b + draw(st.integers(0, 20)))  # exponents >= b recurse
@@ -67,7 +67,7 @@ def wide_walks(draw, pairs):
     m = sum(draw(digit) * b**e for e in exps) + draw(st.integers(0, b - 1))
     # budgets below m, and up to the width of powers far above it
     width = m.bit_length()
-    budget = draw(st.none() | st.integers(64, 3 * width) | st.integers(3 * width, 40 * width))
+    budget = draw(st.none() | st.integers(min(64, width), 3 * width) | st.integers(3 * width, 40 * width))
     return b, c, m, DEFAULT_BUDGET if budget is None else BitBudget(budget)
 
 
@@ -93,7 +93,7 @@ def test_floor_log_from_the_table_and_the_power_above(b, bits, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(wide_walks(CHANGE_PAIRS))
+@given(walks(CHANGE_PAIRS))
 def test_base_change_matches_the_textbook_change(walk):
     b, c, m, budget = walk
     want = outcome(lambda: textbook_deep_change(None, b, c, budget.check(m), budget, b))
@@ -101,7 +101,7 @@ def test_base_change_matches_the_textbook_change(walk):
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_walks(UPGRADE_PAIRS))
+@given(walks(UPGRADE_PAIRS))
 def test_upgrade_context_deep_changes_match_the_textbook_change(walk):
     b, c, m, budget = walk
     oracle = UpgradeContext(SOURCE, TARGET, budget, fast_paths=False)
@@ -225,6 +225,21 @@ def test_out_of_order_steps_give_the_values_of_a_fresh_hierarchy():
         fresh = dynamical("plus-chain", start=[2, 6])
         assert chain.upgrade_step(i, n) == fresh.upgrade_step(i, n), i
         assert len(chain._powers) <= _POWERS_CAP
+
+
+def test_only_the_first_power_of_a_wide_walk_is_handed_on():
+    # the next step's first decomposition reads only the top power, and a
+    # narrow value lifted into a wide base, as diagonal successors do, is
+    # not decomposed there again
+    table = {}
+    c = 3**700
+    assert base_change(2 * 3**2 + 1, 3, c, powers=table) == 2 * c**2 + 1
+    assert table == {}
+    # the gap from 1000**400 to 1000**200 is past the ladder, so 1001**200
+    # is taken fresh too, and it is wide
+    m = 1000**400 + 1000**200 + 7
+    assert base_change(m, 1000, 1001, powers=table) == 1001**400 + 1001**200 + 7
+    assert table == {(1001, 400): 1001**400}
 
 
 def test_a_wide_classic_run_takes_few_wide_powers(monkeypatch):
