@@ -62,7 +62,6 @@ __all__ = [
     "cnt_add",
     "plus_big_omega",
     "check_plus_big_omega",
-    "max_coefficient",
     "Cofinality",
     "cofinality",
     "fund_seq",
@@ -305,10 +304,10 @@ def omega_tower(k: int) -> OrdTerm:
 
 
 def _compare_atoms(a: Atom, b: Atom) -> int:
-    if a is b or a == b:
+    if a is b:
         return 0
     if a.kind == "omega":
-        return -1  # omega sits below every collapse atom with argument >= Omega
+        return 0 if b.kind == "omega" else -1  # omega sits below every collapse atom
     if b.kind == "omega":
         return 1
     if a.kind != b.kind:
@@ -316,15 +315,26 @@ def _compare_atoms(a: Atom, b: Atom) -> int:
             "cannot compare a v-collapse with a p-collapse: the two "
             "interpretations never mix"
         )
-    if a.kind == "psi":
-        # p-atoms compare by argument alone
-        return compare(a.arg, b.arg)
-    # v-atoms: order reflects argument order exactly when the smaller
-    # argument's maximal coefficient stays below the larger collapse
     c = compare(a.arg, b.arg)
+    if c == 0 or a.kind == "psi":
+        return c  # p-atoms compare by argument alone
+    # v-atoms: order reflects argument order exactly when every coefficient
+    # of the smaller argument stays below the larger collapse
     if c < 0:
-        return -1 if compare_cnt(max_coefficient(a.arg), CntTerm(((b, 1),), 0)) < 0 else 1
-    return 1 if compare_cnt(max_coefficient(b.arg), CntTerm(((a, 1),), 0)) < 0 else -1
+        return -1 if _below(a.arg, b) else 1
+    return 1 if _below(b.arg, a) else -1
+
+
+def _below(x: OrdTerm, atom: Atom) -> bool:
+    """Whether every countable coefficient in x, hereditarily, lies below the atom:
+    a countable term does exactly when it is finite or its lead atom does."""
+    for exp, coeff in x.monos:
+        if coeff.parts and _compare_atoms(coeff.parts[0][0], atom) >= 0:
+            return False
+        if (exp.monos or exp.tail.parts) and not _below(exp, atom):
+            return False
+    parts = x.tail.parts
+    return not parts or _compare_atoms(parts[0][0], atom) < 0
 
 
 def compare_cnt(x: CntTerm, y: CntTerm) -> int:
@@ -363,16 +373,6 @@ def compare_spines(x: OrdTerm, y: OrdTerm) -> int:
     if len(x.monos) != len(y.monos):
         return -1 if len(x.monos) < len(y.monos) else 1
     return 0
-
-
-def max_coefficient(x: OrdTerm) -> CntTerm:
-    """Largest countable coefficient occurring hereditarily in x."""
-    best = x.tail
-    for exp, coeff in x.monos:
-        for c in (coeff, max_coefficient(exp)):
-            if compare_cnt(best, c) < 0:
-                best = c
-    return best
 
 
 # --- sums ----------------------------------------------------------------
@@ -647,11 +647,10 @@ def big_f(n: int) -> int:
 
 
 def is_psi_normal_form(arg: OrdTerm) -> bool:
-    """Whether p(arg) is in normal form: max coefficient of arg below p(arg)."""
+    """Whether p(arg) is in normal form: every coefficient of arg below p(arg)."""
     if arg.is_countable():
         return True  # collapse is the identity here, nothing to check
-    value = psi(arg)
-    return compare_cnt(max_coefficient(arg), value) < 0
+    return _below(arg, psi(arg).parts[0][0])
 
 
 # --- text grammar ---------------------------------------------------------

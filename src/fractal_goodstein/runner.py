@@ -392,8 +392,13 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         if theta != rec.theta:
             problems.append(f"{where}: theta certificate does not recompute")
         if theta is not None:
-            if prev_theta is not None and compare_cnt(theta, prev_theta) >= 0:
-                problems.append(f"{where}: theta certificate fails to decrease")
+            if prev_theta is not None:
+                try:
+                    descends = compare_cnt(theta, prev_theta) < 0
+                except OrdinalError:  # a claimed term of the other flavor
+                    descends = False
+                if not descends:
+                    problems.append(f"{where}: theta certificate fails to decrease")
             prev_theta = theta
         n = u = None
         if "psi" in row:
@@ -403,10 +408,13 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         if n is not None:
             if n > value:
                 problems.append(f"{where}: psi witness exceeds the value")
-            if prev_psi is not None and (
-                prev_psi[0] != pos - 1 or fund_seq_cnt(prev_psi[1], pos) != u
-            ):
-                problems.append(f"{where}: psi witness chain broken")
+            if prev_psi is not None:
+                try:
+                    linked = prev_psi[0] == pos - 1 and fund_seq_cnt(prev_psi[1], pos) == u
+                except OrdinalError:  # a claimed term of the other flavor
+                    linked = False
+                if not linked:
+                    problems.append(f"{where}: psi witness chain broken")
             prev_psi = (pos, u)
         return True
 

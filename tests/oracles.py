@@ -2,9 +2,13 @@
 
 ord_add is the pairwise ordinal sum that the library's one-pass ord_sum
 replaced: it builds every partial sum, and so checks each against the term
-budgets.  The term-budget helpers run code under patched term budgets from
-cold tables: a stored term is returned without a size check, so a patched
-budget only bites on terms built after the tables are reset to the constants.
+budgets.  oracle_compare_cnt is the order of countable terms by the rule that
+the library's coefficient walk replaced: two v-collapses follow their
+arguments exactly when the maximal coefficient of the smaller argument,
+folded by max_coefficient, compares below the larger collapse built as a
+term.  The term-budget helpers run code under patched term budgets from cold
+tables: a stored term is returned without a size check, so a patched budget
+only bites on terms built after the tables are reset to the constants.
 
 textbook_deep_change is the deep base change that numerals._phi_value
 computes, written out: every base-b digit by repeated division, and a fresh
@@ -17,7 +21,7 @@ import pytest
 
 from fractal_goodstein import ordinal_terms
 from fractal_goodstein.numerals import INFINITY, BudgetExceededError
-from fractal_goodstein.ordinal_terms import OrdTerm, cnt_add, compare
+from fractal_goodstein.ordinal_terms import CntTerm, OrdinalError, OrdTerm, cnt_add, compare
 
 TERM_CLASSES = (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm)
 
@@ -36,6 +40,55 @@ def ord_add(x: OrdTerm, y: OrdTerm) -> OrdTerm:
         if order == 0:
             return OrdTerm((*x.monos[:i], (lead, cnt_add(c, coeff)), *y.monos[1:]), y.tail)
     return OrdTerm(x.monos + y.monos, y.tail)
+
+
+def _sign(d: int) -> int:
+    return (d > 0) - (d < 0)
+
+
+def oracle_compare_cnt(x: CntTerm, y: CntTerm) -> int:
+    """compare_cnt by the maximum-coefficient rule, independent of the library's order."""
+    for (a1, m1), (a2, m2) in zip(x.parts, y.parts):
+        c = _oracle_compare_atoms(a1, a2) or _sign(m1 - m2)
+        if c:
+            return c
+    return _sign(len(x.parts) - len(y.parts)) or _sign(x.fin - y.fin)
+
+
+def oracle_compare(x: OrdTerm, y: OrdTerm) -> int:
+    """compare on OrdTerms, with countable terms ordered by oracle_compare_cnt."""
+    for (e1, c1), (e2, c2) in zip(x.monos, y.monos):
+        c = oracle_compare(e1, e2) or oracle_compare_cnt(c1, c2)
+        if c:
+            return c
+    return _sign(len(x.monos) - len(y.monos)) or oracle_compare_cnt(x.tail, y.tail)
+
+
+def _oracle_compare_atoms(a, b) -> int:
+    if a == b:
+        return 0
+    if a.kind == "omega":
+        return -1
+    if b.kind == "omega":
+        return 1
+    if a.kind != b.kind:
+        raise OrdinalError("cannot compare a v-collapse with a p-collapse")
+    c = oracle_compare(a.arg, b.arg)
+    if a.kind == "psi":
+        return c
+    if c < 0:
+        return -1 if oracle_compare_cnt(max_coefficient(a.arg), CntTerm(((b, 1),), 0)) < 0 else 1
+    return 1 if oracle_compare_cnt(max_coefficient(b.arg), CntTerm(((a, 1),), 0)) < 0 else -1
+
+
+def max_coefficient(x: OrdTerm) -> CntTerm:
+    """Largest countable coefficient occurring hereditarily in x."""
+    best = x.tail
+    for exp, coeff in x.monos:
+        for c in (coeff, max_coefficient(exp)):
+            if oracle_compare_cnt(best, c) < 0:
+                best = c
+    return best
 
 
 def cold_tables() -> None:

@@ -6,7 +6,7 @@ nothing here accepts "equivalent" shapes.
 
 import pytest
 
-from fractal_goodstein import interpretations, ordinal_terms
+from fractal_goodstein import interpretations, ordinal_terms, runner
 from fractal_goodstein.hierarchy import FiniteHierarchy
 from fractal_goodstein.interpretations import (
     IotaProvenance,
@@ -38,7 +38,7 @@ from fractal_goodstein.ordinal_terms import (
     term_to_str,
     theta,
 )
-from fractal_goodstein.runner import run
+from fractal_goodstein.runner import run, verify_trace
 from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext
 from oracles import cold_outcome, cold_tables, ord_add, outcome, term_budgets
@@ -412,6 +412,28 @@ def test_certified_plus_chain_runs_stay_under_8000_compare_calls(monkeypatch):
     for seed in (5, 6, 7):
         run("plus-chain: 2,6", seed, max_steps=300, certify="theta")
     assert calls < 8_000
+
+
+def test_verifying_certified_classic_traces_stays_under_12000_compare_cnt_calls(monkeypatch):
+    # the verifier's descent check orders v-collapses coefficient by
+    # coefficient: 8,481 compare_cnt calls here from cold tables, against
+    # 21,775 when the maximal coefficient was folded and compared with the
+    # larger collapse
+    traces = [run("classic", seed, max_steps=300, certify="theta").trace_lines() for seed in (4, 5, 6, 7)]
+    calls = 0
+    compare_cnt = ordinal_terms.compare_cnt
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return compare_cnt(x, y)
+
+    for module in (ordinal_terms, runner, interpretations):
+        monkeypatch.setattr(module, "compare_cnt", counted)
+    cold_tables()
+    for lines in traces:
+        assert verify_trace(lines).ok
+    assert calls < 12_000
 
 
 def _spine_readings():

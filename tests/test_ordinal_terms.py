@@ -33,7 +33,6 @@ from fractal_goodstein.ordinal_terms import (
     fund_seq_cnt,
     is_psi_normal_form,
     lift,
-    max_coefficient,
     natural_sum,
     natural_sum_cnt,
     omega_monomial,
@@ -47,7 +46,14 @@ from fractal_goodstein.ordinal_terms import (
     theta,
 )
 from fractal_goodstein.runner import run, verify_trace
-from oracles import TERM_CLASSES, cold_outcome, ord_add, term_budgets
+from oracles import (
+    TERM_CLASSES,
+    cold_outcome,
+    max_coefficient,
+    oracle_compare_cnt,
+    ord_add,
+    term_budgets,
+)
 
 W_W = omega_monomial(BIG_OMEGA, CNT_ONE)  # Omega^Omega
 
@@ -274,6 +280,55 @@ def test_ord_sum_is_the_ord_add_fold(family, data, nodes, depth):
     assert one_pass == fold
 
 
+# --- the order against the maximum-coefficient rule ---------------------------
+
+CNT_TERMS = {family.__name__: _cnt_terms(3, family) for family in (_atoms_theta, _atoms_psi)}
+
+
+@pytest.mark.parametrize("clear", [False, True])
+@pytest.mark.parametrize("family", CNT_TERMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compare_cnt_is_the_max_coefficient_rule(family, clear, data):
+    # with a clear between the two builds, equal atoms are distinct objects
+    # and are told equal by their arguments
+    a = data.draw(CNT_TERMS[family])
+    if clear:
+        _clear_tables()
+    b = data.draw(CNT_TERMS[family])
+    assert compare_cnt(a, b) == oracle_compare_cnt(a, b)
+    _restore_tables()
+
+
+def _collapse_args(family):
+    """_ord_terms sums plus W^e*1, where the exponent e is itself a collapse of one."""
+    collapse = theta if family is _atoms_theta else psi
+    return st.builds(
+        lambda x, y: natural_sum(omega_monomial(lift(collapse(x)), CNT_ONE), y),
+        _ord_terms(family),
+        _ord_terms(family),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_collapse_args(_atoms_theta), _collapse_args(_atoms_theta))
+def test_v_collapses_look_inside_exponents(x, y):
+    a, b = theta(x), theta(y)
+    assert compare_cnt(a, b) == oracle_compare_cnt(a, b)
+
+
+def test_v_collapse_order_fixtures():
+    # W^v(W^W) < W^W, yet its exponent holds v(W^W) itself: the collapse of the
+    # smaller argument is the larger one; with a smaller exponent it is not
+    above = theta(omega_monomial(lift(theta(W_W)), CNT_ONE))
+    below = theta(omega_monomial(lift(theta(BIG_OMEGA)), CNT_ONE))
+    assert compare_cnt(above, theta(W_W)) == 1 == oracle_compare_cnt(above, theta(W_W))
+    assert compare_cnt(below, theta(W_W)) == -1 == oracle_compare_cnt(below, theta(W_W))
+    # the same with v(W^W) as a coefficient and as the tail
+    for arg in (omega_monomial(ONE, theta(W_W)), natural_sum(BIG_OMEGA, lift(theta(W_W)))):
+        assert compare_cnt(theta(arg), theta(W_W)) == 1
+
+
 def test_plus_big_omega_and_max_coefficient():
     assert plus_big_omega(W_W) == natural_sum(W_W, BIG_OMEGA)
     assert plus_big_omega(ZERO) == BIG_OMEGA
@@ -382,6 +437,15 @@ def test_is_psi_normal_form():
     assert is_psi_normal_form(lift(OMEGA))  # countable: nothing to check
     # W + p(W^W) has a coefficient the collapse cannot dominate
     assert not is_psi_normal_form(natural_sum(BIG_OMEGA, lift(psi(W_W))))
+    # the coefficient can sit in an exponent: W^p(W^W) is below W^W
+    assert not is_psi_normal_form(omega_monomial(lift(psi(W_W)), CNT_ONE))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_collapse_args(_atoms_psi))
+def test_is_psi_normal_form_is_the_max_coefficient_rule(arg):
+    oracle = arg.is_countable() or oracle_compare_cnt(max_coefficient(arg), psi(arg)) < 0
+    assert is_psi_normal_form(arg) == oracle
 
 
 # --- grammar ----------------------------------------------------------------

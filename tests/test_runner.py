@@ -303,6 +303,27 @@ def test_a_canonical_but_wrong_term_is_still_checked():
     ]
 
 
+def test_a_claimed_theta_of_the_wrong_flavor_fails_its_descent_check():
+    # the p-collapse cannot be ordered against the v-chain: that is no
+    # descent, and the replay goes on to the rows after it
+    lines = run("classic", 4, max_steps=6, certify="theta").trace_lines()
+    assert verify_trace(_mutate(lines, 3, "theta", "p(W^2*1)")).problems == [
+        "step 2: theta certificate does not recompute",
+        "step 2: theta certificate fails to decrease",
+        "step 3: theta certificate fails to decrease",
+    ]
+
+
+def test_a_claimed_witness_of_the_wrong_flavor_breaks_the_chain():
+    # a v-collapse has no fundamental sequence to link the next witness to
+    lines = run("ouroboros", 3, max_steps=6, certify="both").trace_lines()
+    assert verify_trace(_mutate(lines, 2, "psi", "v(W^1*1)", subkey="u")).problems == [
+        "step 1: psi witness does not recompute",
+        "step 1: psi witness chain broken",
+        "step 2: psi witness chain broken",
+    ]
+
+
 def test_version_1_traces_are_rejected_by_name(certified_lines):
     report = verify_trace(_mutate(certified_lines, 0, "version", 1))
     assert not report.ok
