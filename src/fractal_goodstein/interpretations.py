@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .hierarchy import Hierarchy, _coerce
+from .hierarchy import FiniteHierarchy, Hierarchy, _coerce
 from .numerals import (
     DEFAULT_BUDGET,
     BitBudget,
@@ -171,36 +171,38 @@ class ThetaInterpretation:
         return out
 
 
-class ClassicThetaReader:
-    """Theta certificates of one classic run, each read from the step before.
+class ThetaReader:
+    """Theta certificates of one run, each read afresh or from the step before.
 
-    Fed the values of consecutive steps of one run over the single bases
-    2, 3, 4, ..., with their stages.  An upgrade keeps the reading of every
-    monomial, so when the trailing digit r below the base is positive and
-    the value stays above the base, the decrement only turns the tail v(r)
-    into v(r - 1), or nothing at 0, and star keeps the same spine and value.
-    Every other step (a borrow, a value at or below the base, the first one)
-    reads afresh through ThetaInterpretation, the oracle of every step.
+    Fed the values of consecutive steps of one run, with their stages.  The
+    upgrade from the single base b - 1 to the single base b is the hereditary
+    base change, which keeps the reading of every monomial.  So when the
+    previous reading was taken at {b - 1} with a positive trailing digit r,
+    the stage is {b}, and the value stays above b, the decrement only turns
+    the tail v(r) into v(r - 1), or nothing at 0, and star keeps the same
+    spine and value.  Every other step (a borrow, a value at or below the
+    base, a stage of other bases, the first one) reads afresh through
+    ThetaInterpretation, the oracle of every step.
     """
 
     def __init__(self) -> None:
-        self._last: tuple[OrdTerm, CntTerm, int] | None = None  # (arg, star, r)
+        self._last: tuple[int, OrdTerm, CntTerm, int] | None = None  # (b, arg, star, r)
 
     def value(self, stage: Hierarchy, n: int) -> CntTerm:
-        b = stage.min_base
         last, self._last = self._last, None
-        # at n == b nothing lies below n, so star turns to 0 there
-        if last is not None and last[2] and n > b:
-            arg, star, r = last
+        # reuse needs n > b: at n == b nothing lies below n, so star turns to 0
+        if not (isinstance(stage, FiniteHierarchy) and len(stage) == 1 and n > stage.min_base):
+            return ThetaInterpretation(stage).value(n)
+        b = stage.min_base
+        if last is not None and last[0] == b - 1 and last[3]:
+            _, arg, star, r = last
             r -= 1
             arg = OrdTerm(arg.monos, theta(fin_ord(r)) if r else CNT_ZERO)
         else:
             fresh = ThetaInterpretation(stage)
-            if n <= b:
-                return fresh.value(n)
             arg, star, r = fresh.upper(n), fresh.star(n), n % b
         out = theta(arg if star.is_zero() else natural_sum(arg, lift(star)))
-        self._last = (arg, star, r)
+        self._last = (b, arg, star, r)
         return out
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "natural_sum_cnt",
     "ord_sum",
     "cnt_add",
-    "plus_big_omega",
     "check_plus_big_omega",
     "Cofinality",
     "cofinality",
@@ -475,19 +474,8 @@ def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
     return OrdTerm(monos, tail)
 
 
-def plus_big_omega(x: OrdTerm) -> OrdTerm:
-    """x + Omega: used for the left-additive base comparisons.
-
-    Built directly, not through ord_sum, which would also check x itself.
-    """
-    monos = x.monos
-    if monos and monos[-1][0] == ONE:
-        return OrdTerm((*monos[:-1], (ONE, cnt_add(monos[-1][1], CNT_ONE))), CNT_ZERO)
-    return OrdTerm(monos + BIG_OMEGA.monos, CNT_ZERO)
-
-
 def check_plus_big_omega(x: OrdTerm) -> None:
-    """Raise what building plus_big_omega(x) would raise, without building it.
+    """Raise what building x + Omega would raise, without building it.
 
     x + Omega drops the tail of x and either turns an Omega^1 coefficient c
     into c + 1, of the same size, or appends the three nodes of Omega^1*1.

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .hierarchy import DEFAULT_HORIZON, HorizonError
-from .interpretations import (
-    ClassicThetaReader,
-    PsiInterpretation,
-    ThetaInterpretation,
-    majorize_witness,
-)
+from .interpretations import PsiInterpretation, ThetaReader, majorize_witness
 from .numerals import BitBudget, BudgetExceededError, superexp
 from .ordinal_terms import (
     CntTerm,
@@ -41,12 +36,7 @@ from .ordinal_terms import (
     fund_seq_cnt,
     parse_term,
 )
-from .successors import (
-    ClassicHierarchy,
-    DynamicalHierarchy,
-    dynamical,
-    hierarchy_from_spec,
-)
+from .successors import DynamicalHierarchy, dynamical, hierarchy_from_spec
 
 __all__ = [
     "StepRecord",
@@ -173,11 +163,11 @@ class _Steps:
     value sequence.  Once the iteration is exhausted, ``outcome``,
     ``detail``, ``theta_stop`` and ``psi_stop`` say how the run ended.
 
-    A classic run reads its theta certificates through one
-    ClassicThetaReader, which derives each from the step before.  It is fed
+    Every run reads its theta certificates through one ThetaReader, fed
     the consecutive steps of this run only, from step 0 until the reading
-    stops, and its oracle is the fresh ThetaInterpretation(stage).value
-    that every other kind reads at each step.
+    stops.  It derives a reading from the step before only between the
+    single bases b - 1 and b, and its oracle is the fresh
+    ThetaInterpretation(stage).value of every step.
 
     A death of the value column (bit budget or horizon) ends the run in
     one handler; evidence catches its own errors, deaths included.
@@ -205,10 +195,7 @@ class _Steps:
         h = self.h
         want_theta = self.certify in ("theta", "both")
         want_psi = self.certify in ("psi", "both")
-        if isinstance(h, ClassicHierarchy):
-            read_theta = ClassicThetaReader().value
-        else:
-            read_theta = lambda stage, n: ThetaInterpretation(stage).value(n)
+        read_theta = ThetaReader().value
         value = psi_n = self.seed
         prev_u: CntTerm | None = None
         i = 0
@@ -336,7 +323,9 @@ def verify_trace(source: str | Iterable[str]) -> VerifyReport:
             with open(source, "r", encoding="utf-8") as fh:
                 return _verify_lines(fh)
         return _verify_lines(source)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
+        # json.loads raises ValueError on a malformed line and on an integer
+        # past the int-to-str digit limit; _verify_lines reports the rest itself
         return VerifyReport(False, [f"unreadable trace: {e}"])
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .hierarchy import FiniteHierarchy, Hierarchy, _coerce
+from .hierarchy import Hierarchy, _coerce
 from .numerals import (
     DEFAULT_BUDGET,
     BitBudget,
     ExtNat,
     INFINITY,
     _phi_value,
-    base_change,
 )
 
 __all__ = [
@@ -38,6 +37,10 @@ class UpgradeContext:
     the previous one.  Once an upgrade comes out infinite, all later ones
     do, so the table holds the finite upgrades only: _infinite marks that
     the next one is infinite, and upgrade(n) is INFINITY from len(_up) on.
+
+    fast_paths selects the block decomposition, which upgrades b*a + r with
+    0 < r < b as the upgrade of b*a plus that of r.  Without it every value
+    goes through the candidate search of the definition, the oracle.
     """
 
     def __init__(
@@ -54,25 +57,12 @@ class UpgradeContext:
         self._up: list[int] = []
         self._infinite = False
         self._chosen: dict[int, int] = {}
-        self._singleton = (
-            fast_paths
-            and isinstance(self.source, FiniteHierarchy)
-            and len(self.source) == 1
-            and isinstance(self.target, FiniteHierarchy)
-            and len(self.target) == 1
-        )
 
     def upgrade(self, n: int) -> ExtNat:
         if n < 0:
             raise ValueError("upgrades are defined on nonnegative integers")
         if n < self.source.min_base:
             return n
-        if self._singleton:
-            # one source base, one target base: the upgrade is exactly the
-            # hereditary base change between them
-            val = base_change(n, self.source.min_base, self.target.min_base, self.budget)
-            self._chosen[n] = self.target.min_base
-            return val
         while len(self._up) <= n:
             if self._infinite:
                 return INFINITY

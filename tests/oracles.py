@@ -6,9 +6,12 @@ budgets.  oracle_compare_cnt is the order of countable terms by the rule that
 the library's coefficient walk replaced: two v-collapses follow their
 arguments exactly when the maximal coefficient of the smaller argument,
 folded by max_coefficient, compares below the larger collapse built as a
-term.  The term-budget helpers run code under patched term budgets from cold
-tables: a stored term is returned without a size check, so a patched budget
-only bites on terms built after the tables are reset to the constants.
+term.  plus_big_omega builds x + Omega, the sum that star compared before
+it compared spines: compare_spines must order two readings as their sums
+order, and check_plus_big_omega must raise as the build does.  The
+term-budget helpers run code under patched term budgets from cold tables: a
+stored term is returned without a size check, so a patched budget only
+bites on terms built after the tables are reset to the constants.
 
 textbook_deep_change is the deep base change that numerals._phi_value
 computes, written out: every base-b digit by repeated division, and a fresh
@@ -21,7 +24,17 @@ import pytest
 
 from fractal_goodstein import ordinal_terms
 from fractal_goodstein.numerals import INFINITY, BudgetExceededError
-from fractal_goodstein.ordinal_terms import CntTerm, OrdinalError, OrdTerm, cnt_add, compare
+from fractal_goodstein.ordinal_terms import (
+    BIG_OMEGA,
+    CNT_ONE,
+    CNT_ZERO,
+    ONE,
+    CntTerm,
+    OrdinalError,
+    OrdTerm,
+    cnt_add,
+    compare,
+)
 
 TERM_CLASSES = (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm)
 
@@ -89,6 +102,14 @@ def max_coefficient(x: OrdTerm) -> CntTerm:
             if oracle_compare_cnt(best, c) < 0:
                 best = c
     return best
+
+
+def plus_big_omega(x: OrdTerm) -> OrdTerm:
+    """x + Omega, built: the sum that check_plus_big_omega and compare_spines stand for."""
+    monos = x.monos
+    if monos and monos[-1][0] == ONE:
+        return OrdTerm((*monos[:-1], (ONE, cnt_add(monos[-1][1], CNT_ONE))), CNT_ZERO)
+    return OrdTerm(monos + BIG_OMEGA.monos, CNT_ZERO)
 
 
 def cold_tables() -> None:

@@ -41,7 +41,6 @@ from fractal_goodstein.ordinal_terms import (
     omega_monomial,
     omega_tower,
     parse_term,
-    plus_big_omega,
     psi,
     step_down,
     term_to_str,
@@ -50,6 +49,7 @@ from fractal_goodstein.ordinal_terms import (
 from fractal_goodstein.runner import lower_bound_chain, run, verify_trace
 from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext, check_good_successor
+from oracles import plus_big_omega
 
 W_W = omega_monomial(BIG_OMEGA, as_cnt(ONE))
 

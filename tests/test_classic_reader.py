@@ -1,10 +1,11 @@
-"""Classic theta certificates read from the step before, against fresh readings.
+"""Theta certificates read from the step before, against fresh readings.
 
-A classic run reads each theta certificate through one ClassicThetaReader,
-which rebuilds only the trailing digit that the decrement changed.  The
-oracle is the fresh ThetaInterpretation(stage).value of every step: it must
-give the same term at every step, and raise, with the same text, exactly at
-the step the run records as its theta stop.
+Every run reads each theta certificate through one ThetaReader.  Between
+the single bases b - 1 and b, the stages of a classic run, it rebuilds only
+the trailing digit that the decrement changed; at every other stage it reads
+afresh.  The oracle is the fresh ThetaInterpretation(stage).value of every
+step: it must give the same term at every step, and raise, with the same
+text, exactly at the step the run records as its theta stop.
 """
 
 import json
@@ -12,13 +13,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractal_goodstein import interpretations
+from fractal_goodstein import interpretations, runner
 from fractal_goodstein.hierarchy import FiniteHierarchy
-from fractal_goodstein.interpretations import ClassicThetaReader, ThetaInterpretation
+from fractal_goodstein.interpretations import ThetaInterpretation, ThetaReader
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import BIG_OMEGA, CNT_ONE, theta
 from fractal_goodstein.runner import _CERT_ERRORS, run, verify_trace
-from oracles import term_budgets
+from fractal_goodstein.successors import hierarchy_from_spec
+from oracles import cold_tables, term_budgets
 
 
 def _stage(i):
@@ -85,7 +87,7 @@ def test_value_equal_to_the_base_reads_afresh():
 def test_trailing_digit_steps_down_to_nothing():
     # 14 = 4*3 + 2 at base 4, then 16 = 5*3 + 1 at base 5, then 18 = 6*3 at
     # base 6: the tail reads v(2), then v(1), which folds to w, then nothing
-    reader = ClassicThetaReader()
+    reader = ThetaReader()
     texts = []
     for i, n in [(2, 14), (3, 16), (4, 18)]:
         got = reader.value(_stage(i), n)
@@ -121,6 +123,101 @@ def test_fresh_readings_only_where_the_tail_cannot_be_reused(monkeypatch):
     ]
     assert made == fresh
     assert len(fresh) < 20
+
+
+def test_plus_chain_from_2_reads_as_classic_does(monkeypatch):
+    # plus-chain: 2 has the stages of a classic run, and the reader reuses
+    # readings by the stages, not by the kind
+    made = []
+
+    class Counted(ThetaInterpretation):
+        def __init__(self, base):
+            made.append(base.min_base)
+            super().__init__(base)
+
+    monkeypatch.setattr(interpretations, "ThetaInterpretation", Counted)
+    seen = []
+    for spec in ("classic", "plus-chain: 2"):
+        made.clear()
+        records = run(spec, 4, max_steps=300, certify="theta").records
+        seen.append(([r.theta for r in records], list(made)))
+    assert seen[0] == seen[1]
+    assert len(made) < 20
+
+
+def test_a_reading_is_reused_only_at_the_next_single_base():
+    # 14 at {3} has the trailing digit 2, but {5} is not the next single
+    # base, and {3, 12} not a single base: both read afresh
+    for stage in (FiniteHierarchy([5]), FiniteHierarchy([3, 12])):
+        reader = ThetaReader()
+        reader.value(FiniteHierarchy([3]), 14)
+        assert reader.value(stage, 16) == ThetaInterpretation(stage).value(16), stage
+
+
+class _FreshReader:
+    """Every step read afresh: the oracle ThetaReader must match."""
+
+    def value(self, stage, n):
+        return ThetaInterpretation(stage).value(n)
+
+
+KINDS = [
+    "classic",
+    "plus-chain: 2",
+    "plus-chain: 2,6",
+    "finite: 3,12",
+    "finite-for: 3",
+    "finite-for: 4",
+    "finite-for: 5",
+    "diagonal",
+    "ouroboros",
+]
+
+
+def _seeds(spec):
+    # a frozen stage bounds the seed: finite-for: m by m, diagonal by 2
+    if spec.startswith("finite-for"):
+        return range(int(spec.split(":")[1]) + 1)
+    return range(3 if spec == "diagonal" else 9)
+
+
+def _run_both_ways(monkeypatch, spec, seed, bits, max_steps):
+    """The trace and the stages' materialized bases, with the reader and afresh."""
+    out = []
+    for fresh in (False, True):
+        with monkeypatch.context() as m:
+            if fresh:
+                m.setattr(runner, "ThetaReader", _FreshReader)
+            h = hierarchy_from_spec(spec, BitBudget(bits))
+            cold_tables()
+            result = run(h, seed, max_steps=max_steps, certify="theta")
+            stages = [h.stage(r.index).known_elements() for r in result.records]
+            out.append((result.trace_lines(), stages))
+    return out
+
+
+@pytest.mark.parametrize("spec", KINDS)
+@pytest.mark.parametrize("bits", [8, 64, 4096, 1 << 20])
+def test_reader_matches_fresh_readings_on_every_kind(monkeypatch, spec, bits):
+    for seed in _seeds(spec):
+        reader, fresh = _run_both_ways(monkeypatch, spec, seed, bits, 60)
+        assert reader == fresh, (spec, seed)
+
+
+@pytest.mark.parametrize(
+    "nodes, depth", [(8, 200), (12, 200), (16, 200), (22, 200), (10_000, 6), (10_000, 9)]
+)
+def test_reader_matches_fresh_readings_on_every_kind_under_small_term_budgets(
+    monkeypatch, nodes, depth
+):
+    stops = 0
+    with term_budgets(nodes, depth):
+        for spec in KINDS:
+            for seed in _seeds(spec):
+                reader, fresh = _run_both_ways(monkeypatch, spec, seed, 4096, 40)
+                assert reader == fresh, (spec, seed)
+                stops += json.loads(reader[0][-1])["theta_stop"] is not None
+    assert stops
 
 
 def test_a_certificate_at_the_node_budget_is_written_and_verifies():

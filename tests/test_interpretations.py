@@ -34,14 +34,13 @@ from fractal_goodstein.ordinal_terms import (
     omega_monomial,
     omega_tower,
     parse_term,
-    plus_big_omega,
     term_to_str,
     theta,
 )
 from fractal_goodstein.runner import run, verify_trace
 from fractal_goodstein.successors import PlusHierarchy
 from fractal_goodstein.upgrade import UpgradeContext
-from oracles import cold_outcome, cold_tables, ord_add, outcome, term_budgets
+from oracles import cold_outcome, cold_tables, ord_add, outcome, plus_big_omega, term_budgets
 
 
 def cnt(text):
@@ -195,6 +194,22 @@ def test_upper_base_normal_variants():
     assert ps.is_upper_base_normal(2, 1)
     assert ps.is_upper_normal(6)
     assert not ps.is_normal(16)
+
+
+def test_values_fail_upper_normality_through_each_layer():
+    # every value below 2,000 is upper normal over [2, 6]; over [2, 6, 36],
+    # 360 = 10*36 fails through its digit 10, and 1,656 = 36^2 + 360 through
+    # its remainder 360
+    assert all(PsiInterpretation([2, 6]).is_upper_normal(n) for n in range(2000))
+    ps = PsiInterpretation([2, 6, 36])
+    by_digit, by_layers = [], []
+    for n in range(2000):
+        if not ps.is_upper_normal(n):
+            a = decompose(n, ps.base.upper_base(n))[2]
+            (by_layers if ps.is_normal(a) else by_digit).append(n)
+    assert (len(by_digit), len(by_layers)) == (648, 144)
+    assert by_digit[0] == 360 and not ps.is_normal(10)
+    assert by_layers[0] == 1656 and not ps.is_upper_normal(360)
 
 
 # --- witnesses ---------------------------------------------------------------

@@ -39,7 +39,6 @@ from fractal_goodstein.ordinal_terms import (
     omega_tower,
     ord_sum,
     parse_term,
-    plus_big_omega,
     psi,
     step_down,
     term_to_str,
@@ -52,6 +51,7 @@ from oracles import (
     max_coefficient,
     oracle_compare_cnt,
     ord_add,
+    plus_big_omega,
     term_budgets,
 )
 

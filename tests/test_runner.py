@@ -345,6 +345,31 @@ def test_trace_io_leaves_the_int_digit_limit_alone():
         assert limit() == before
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "row, key, subkey", [(0, "caps", "max_steps"), (2, "base", None), (-1, "steps", None)]
+)
+def test_an_integer_past_the_digit_limit_is_an_unreadable_trace(
+    certified_lines, tmp_path, capsys, row, key, subkey
+):
+    # json.loads cannot read the number, and the limit stays as it is
+    wide = "1" + "0" * _DIGIT_LIMIT
+    lines = [ln.replace('"wide"', wide) for ln in _mutate(certified_lines, row, key, "wide", subkey)]
+    report = verify_trace(lines)
+    assert not report.ok
+    assert len(report.problems) == 1
+    assert report.problems[0].startswith("unreadable trace: ")
+    assert str(_DIGIT_LIMIT) in report.problems[0]
+    p = tmp_path / "wide.jsonl"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli("verify", str(p)) == 1
+    assert capsys.readouterr().err.startswith("unreadable trace: ")
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+
+
 def test_budget_outcome_tampering_is_rejected():
     lines = run("ouroboros", 5, certify="none").trace_lines()
     assert verify_trace(lines).ok
@@ -638,6 +663,15 @@ def test_cli_ordinal_commands(capsys):
     assert capsys.readouterr().out.strip().splitlines() == ["w", "1", "0"]
     assert cli("ordinal", "eval", "W^") == 3
     capsys.readouterr()
+
+
+def test_cli_fs_takes_a_term_index(capsys):
+    # a finite term index steps a countably cofinal position; an infinite
+    # one is refused there
+    assert cli("ordinal", "fs", "W^1*w", "v(0)") == 0
+    assert capsys.readouterr().out.strip() == "W^1*1"
+    assert cli("ordinal", "fs", "W^1*w", "w") == 3
+    assert "this position has countable cofinality" in capsys.readouterr().err
 
 
 def test_cli_hierarchy_stage(capsys):

@@ -81,6 +81,21 @@ def test_upgrade_matches_base_change_on_singletons():
         assert up.upgrade(n) == base_change(n, 2, 3)
 
 
+def test_single_base_pairs_agree_with_the_candidate_search():
+    # a target below the source included: from the source base on, its
+    # upgrades are infinite and have no chosen base
+    for b in range(2, 7):
+        for c in range(2, 7):
+            fast = UpgradeContext([b], [c])
+            slow = UpgradeContext([b], [c], fast_paths=False)
+            for n in range(60):
+                assert fast.upgrade(n) == slow.upgrade(n), (b, c, n)
+                assert fast.chosen_base(n) == slow.chosen_base(n), (b, c, n)
+            if c < b:
+                assert fast.upgrade(b) is INFINITY and fast.chosen_base(b) is None
+    assert UpgradeContext([3], [2]).upgrade(3) is INFINITY
+
+
 def test_upgrade_is_strictly_monotone():
     up = UpgradeContext(*PAIR1)
     vals = [up.upgrade(n) for n in range(61)]
