@@ -70,6 +70,7 @@ __all__ = [
     "is_psi_normal_form",
     "term_to_str",
     "cnt_to_str",
+    "CntPrinter",
     "parse_term",
 ]
 
@@ -362,6 +363,8 @@ def compare(x: OrdTerm, y: OrdTerm) -> int:
 
 def compare_spines(x: OrdTerm, y: OrdTerm) -> int:
     """compare on the monomials alone; equal to compare of x + Omega and y + Omega."""
+    if x.monos is y.monos:
+        return 0  # consecutive readings of a run share their spine tuple
     for (e1, c1), (e2, c2) in zip(x.monos, y.monos):
         c = compare(e1, e2)
         if c:
@@ -651,22 +654,23 @@ def is_psi_normal_form(arg: OrdTerm) -> bool:
 # making print/parse a bit-exact round trip.
 
 
-def _atom_to_str(a: Atom) -> str:
+def _atom_to_str(a: Atom, spine: str | None = None) -> str:
     if a.kind == "omega":
         return "w"
     tag = "v" if a.kind == "theta" else "p"
-    return f"{tag}({term_to_str(a.arg)})"
+    return f"{tag}({term_to_str(a.arg, spine)})"
 
 
-def _cnt_pieces(c: CntTerm) -> Iterator[str]:
+def _cnt_pieces(c: CntTerm, lead_spine: str | None = None) -> Iterator[str]:
     for atom, mult in c.parts:
         if atom.kind == "omega":
             for _ in range(mult):
                 yield "w"
         elif mult == 1:
-            yield _atom_to_str(atom)
+            yield _atom_to_str(atom, lead_spine)
         else:
-            yield f"{_atom_to_str(atom)}*{mult}"
+            yield f"{_atom_to_str(atom, lead_spine)}*{mult}"
+        lead_spine = None
     if c.fin > 0:
         yield str(c.fin)
 
@@ -679,21 +683,41 @@ def _exp_to_str(e: OrdTerm) -> str:
     return f"({term_to_str(e)})"
 
 
-def term_to_str(x: OrdTerm) -> str:
-    if x.is_zero():
-        return "0"
+def _spine_to_str(monos: tuple) -> str:
     prods: list[str] = []
-    for exp, coeff in x.monos:
+    for exp, coeff in monos:
         head = f"W^{_exp_to_str(exp)}*"
-        for piece in _cnt_pieces(coeff):
-            prods.append(head + piece)
-    prods.extend(_cnt_pieces(x.tail))
+        prods.extend(head + piece for piece in _cnt_pieces(coeff))
     return "+".join(prods)
+
+
+def term_to_str(x: OrdTerm, spine: str | None = None) -> str:
+    """The text of x; spine, when given, is the text of x.monos."""
+    if not x.monos and not x.tail.parts:
+        return str(x.tail.fin)
+    if spine is None:
+        spine = _spine_to_str(x.monos)
+    return "+".join(filter(None, (spine, *_cnt_pieces(x.tail))))
 
 
 def cnt_to_str(c: CntTerm) -> str:
     """The text of lift(c), without building it: a term at the node budget would not lift."""
     return "0" if c.is_zero() else "+".join(_cnt_pieces(c))
+
+
+class CntPrinter:
+    """cnt_to_str, its oracle, for a run's consecutive terms: the text of the last spine
+    printed (the lead collapse's argument's monomials) is reused for an equal one."""
+
+    _spine, _text = (), ""  # the last spine printed, and its text
+
+    def text(self, c: CntTerm) -> str:
+        if not c.parts or c.parts[0][0].arg is None:
+            return cnt_to_str(c)
+        spine = c.parts[0][0].arg.monos
+        if spine is not self._spine and spine != self._spine:
+            self._spine, self._text = spine, _spine_to_str(spine)
+        return "+".join(_cnt_pieces(c, self._text))
 
 
 _TOKEN = re.compile(r"W\^|\d+|[wvp()*+]")

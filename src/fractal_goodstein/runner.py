@@ -9,12 +9,13 @@ in ``_Steps``: ``run`` collects it, and ``verify_trace`` replays it.
 Traces serialize to JSONL, with integers as bare lowercase hex strings
 (trace version 2).  The texts inside have one owner each: the header's
 hierarchy description is printed by ``spec_string`` and parsed by
-``successors.hierarchy_from_spec``, and the terms of each row are printed
-by ``ordinal_terms.cnt_to_str``.  The verifier rebuilds the hierarchy from
-the header, replays the loop under the recorded caps alongside the trace,
-and rejects any row or ending that differs from the replay.  From the
-claimed terms alone it also checks that the theta chain strictly descends
-and that the psi chain links and stays at or below the value.
+``successors.hierarchy_from_spec``, and each term column (theta, psi ``u``)
+by a ``CntPrinter`` of the ``trace_lines`` or ``verify_trace`` call, whose
+oracle is ``cnt_to_str``.  The verifier rebuilds the hierarchy from the
+header, replays the loop under the recorded caps alongside the trace, and
+rejects any row or ending that differs from the replay.  From the claimed
+terms alone it also checks that the theta chain strictly descends and that
+the psi chain links and stays at or below the value.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .hierarchy import DEFAULT_HORIZON, HorizonError
 from .interpretations import PsiInterpretation, ThetaReader, majorize_witness
 from .numerals import BitBudget, BudgetExceededError, superexp
 from .ordinal_terms import (
+    CntPrinter,
     CntTerm,
     OrdinalError,
     as_cnt,
@@ -83,11 +85,11 @@ def _parse_cnt(s: str) -> CntTerm:
     return c
 
 
-def _claimed_cnt(s: str, replayed: CntTerm | None) -> CntTerm:
+def _claimed_cnt(s: str, replayed: CntTerm | None, printer: CntPrinter) -> CntTerm:
     # printing is injective (parse_term(term_to_str(t)) == t), so text equal to
     # the replayed term's printing is canonical and names exactly that term;
     # any other text is parsed
-    if replayed is not None and s == cnt_to_str(replayed):
+    if replayed is not None and s == printer.text(replayed):
         return replayed
     return _parse_cnt(s)
 
@@ -132,12 +134,13 @@ class RunResult:
             "caps": caps,
         }
         lines = [json.dumps(head)]
+        theta_text, u_text = CntPrinter().text, CntPrinter().text
         for r in self.records:
             row: dict = {"i": r.index, "value": _int_str(r.value), "base": r.base}
             if r.theta is not None:
-                row["theta"] = cnt_to_str(r.theta)
+                row["theta"] = theta_text(r.theta)
             if r.psi_n is not None:
-                row["psi"] = {"n": _int_str(r.psi_n), "u": cnt_to_str(r.psi_u)}
+                row["psi"] = {"n": _int_str(r.psi_n), "u": u_text(r.psi_u)}
             lines.append(json.dumps(row))
         tail = {
             "outcome": self.outcome,
@@ -330,6 +333,7 @@ def verify_trace(source: str | Iterable[str]) -> VerifyReport:
 
 
 def _verify_lines(lines: Iterable[str]) -> VerifyReport:
+    """verify_trace on lines; each column's own CntPrinter prints its replayed terms."""
     docs = (json.loads(ln) for ln in lines if ln.strip())
     head, row = next(docs, None), next(docs, None)
     if row is None:
@@ -356,6 +360,7 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         return VerifyReport(False, [f"malformed header: {e}"])
     replay = iter(steps)
+    theta_printer, u_printer = CntPrinter(), CntPrinter()
     problems: list[str] = []
     prev_theta: CntTerm | None = None
     prev_psi: tuple[int, CntTerm] | None = None
@@ -368,16 +373,16 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         if rec is None:
             problems.append(f"{where}: trace continues past the end of the run")
             return False
-        if row.get("i") != pos:
+        if type(row.get("i")) is not int or row["i"] != pos:
             problems.append(f"{where}: index {row.get('i')} out of order")
             return False
         value = _str_int(row["value"])
         if value != rec.value:
             problems.append(f"{where}: value does not recompute")
             return False
-        if row.get("base") != rec.base:
+        if type(row.get("base")) is not int or row["base"] != rec.base:
             problems.append(f"{where}: base does not recompute")
-        theta = _claimed_cnt(row["theta"], rec.theta) if "theta" in row else None
+        theta = _claimed_cnt(row["theta"], rec.theta, theta_printer) if "theta" in row else None
         if theta != rec.theta:
             problems.append(f"{where}: theta certificate does not recompute")
         if theta is not None:
@@ -391,7 +396,7 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
             prev_theta = theta
         n = u = None
         if "psi" in row:
-            n, u = _str_int(row["psi"]["n"]), _claimed_cnt(row["psi"]["u"], rec.psi_u)
+            n, u = _str_int(row["psi"]["n"]), _claimed_cnt(row["psi"]["u"], rec.psi_u, u_printer)
         if (n, u) != (rec.psi_n, rec.psi_u):
             problems.append(f"{where}: psi witness does not recompute")
         if n is not None:
@@ -418,7 +423,7 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         pos += 1
         row = nxt
     tail = row if isinstance(row, dict) else {}
-    if tail.get("steps") != pos:
+    if type(tail.get("steps")) is not int or tail["steps"] != pos:
         problems.append(f"outcome line claims {tail.get('steps')} steps, trace has {pos}")
     if live:
         try:

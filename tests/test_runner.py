@@ -256,6 +256,23 @@ def test_trace_integers_are_canonical_hex():
         assert "not a canonical hex integer" in report.problems[0], spelling
 
 
+@pytest.mark.parametrize(
+    "row, key, value, problem",
+    [
+        (1, "base", 2.0, "step 0: base does not recompute"),
+        (2, "i", True, "step 1: index True out of order"),
+        (3, "i", 2.0, "step 2: index 2.0 out of order"),
+        (-1, "steps", 6.0, "outcome line claims 6.0 steps, trace has 6"),
+    ],
+    ids=["base float", "index true", "index float", "steps float"],
+)
+def test_row_and_step_counts_are_json_ints(row, key, value, problem):
+    # each compares equal to the true count, but run writes only ints
+    lines = run("classic", 4, max_steps=5).trace_lines()
+    assert verify_trace(lines).ok
+    assert verify_trace(_mutate(lines, row, key, value)).problems == [problem]
+
+
 def test_trace_terms_are_canonical():
     lines = run("classic", 4, max_steps=30, certify="both").trace_lines()
     theta = json.loads(lines[3])["theta"]
