@@ -7,7 +7,7 @@ wide that downstream work becomes infeasible.
 A deep base change takes each wide power once: its first c**pe is the first
 b**e of the next step's decomposition in base c, handed on in a run's table,
 and within a walk a power is derived from the one above it, exact and no
-wider than it.
+wider than it.  An even base's power is its odd part's power, shifted.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ class BitBudget:
         return n
 
     def pow(self, base: int, exp: int) -> int:
+        """base**exp, refused before it is taken if it cannot fit the budget.
+
+        An even base o * 2**t is taken as o**exp shifted left by t * exp
+        bits, the same integer: the shift is linear in the width, and the
+        products that build the power are narrower, the last by t * exp bits.
+        """
         # pre-guard: refuse before materializing anything astronomically wide
         if base >= 2 and (
             exp > self.bits or (base.bit_length() - 1) * exp > self.bits
@@ -65,6 +71,8 @@ class BitBudget:
             raise BudgetExceededError(
                 f"{_short(base)}**{_short(exp)} exceeds budget of {self.bits} bits"
             )
+        if (t := (base & -base).bit_length() - 1) > 0:
+            return self.check((base >> t) ** exp << t * exp)
         return self.check(base**exp)
 
 

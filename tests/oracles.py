@@ -13,9 +13,12 @@ term-budget helpers run code under patched term budgets from cold tables: a
 stored term is returned without a size check, so a patched budget only
 bites on terms built after the tables are reset to the constants.
 
-textbook_deep_change is the deep base change that numerals._phi_value
-computes, written out: every base-b digit by repeated division, and a fresh
-power for every monomial.
+textbook_budget_pow is the rule BitBudget.pow followed before it took an
+even base's power as its odd part's power shifted: the pre-guard, then
+base**exp as it stands, then the budget check.  textbook_deep_change is the
+deep base change that numerals._phi_value computes, written out: every
+base-b digit by repeated division, and a fresh textbook power for every
+monomial.
 """
 
 import contextlib
@@ -23,7 +26,7 @@ import contextlib
 import pytest
 
 from fractal_goodstein import ordinal_terms
-from fractal_goodstein.numerals import INFINITY, BudgetExceededError
+from fractal_goodstein.numerals import INFINITY, BudgetExceededError, _short
 from fractal_goodstein.ordinal_terms import (
     BIG_OMEGA,
     CNT_ONE,
@@ -143,6 +146,13 @@ def cold_outcome(fn, *args):
     return outcome(fn, *args)
 
 
+def textbook_budget_pow(budget, base, exp):
+    """base**exp under ``budget``: refused first on the predicted width, then checked."""
+    if base >= 2 and (exp > budget.bits or (base.bit_length() - 1) * exp > budget.bits):
+        raise BudgetExceededError(f"{_short(base)}**{_short(exp)} exceeds budget of {budget.bits} bits")
+    return budget.check(base**exp)
+
+
 def textbook_deep_change(up, b, c, m, budget, low):
     """Each base-b monomial b**e * a of m rebuilt as c**pe * ua, top down.
 
@@ -165,7 +175,7 @@ def textbook_deep_change(up, b, c, m, budget, low):
         ua = ds[e] if ds[e] < low else up(ds[e])
         if pe is INFINITY or ua is INFINITY:
             return INFINITY
-        acc = budget.check(acc + budget.pow(c, pe) * ua)
+        acc = budget.check(acc + textbook_budget_pow(budget, c, pe) * ua)
     if not ds[0]:
         return acc
     tail = ds[0] if ds[0] < low else up(ds[0])

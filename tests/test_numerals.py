@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 from decimal import Decimal, localcontext
 
 import pytest
@@ -21,6 +22,8 @@ from fractal_goodstein.numerals import (
     digits,
     superexp,
 )
+
+from oracles import outcome, textbook_budget_pow
 
 
 def test_decompose_fixtures():
@@ -203,6 +206,47 @@ def test_bit_budget_pow_guards_before_computing():
         bb.pow(2, 10**9)
     assert "2**1000000000 exceeds budget" in str(exc.value)
     assert bb.pow(2, 10) == 1024
+
+
+@st.composite
+def even_and_odd_bases(draw):
+    """0, 1, or an odd part of 1-99 or of 64-4,096 bits, shifted left by 0-80 bits."""
+    odd = st.integers(0, 49).map(lambda j: 2 * j + 1) | st.integers(6, 12).flatmap(
+        lambda k: st.integers(1 << (2**k - 1), (1 << 2**k) - 1).map(lambda o: o | 1)
+    )
+    return draw(st.sampled_from([0, 1]) | st.builds(int.__lshift__, odd, st.integers(0, 80)))
+
+
+@given(
+    even_and_odd_bases(),
+    st.integers(0, 64) | st.integers(65, 20_000) | st.integers(1 << 20, 1 << 40),
+    st.sampled_from([8, 64, 4096, 1 << 20]),
+)
+def test_bit_budget_pow_is_the_textbook_power(base, exp, bits):
+    # the same value, or the same death with the same text, as base**exp
+    # taken whole under the pre-guard and the check
+    budget = BitBudget(bits)
+    assert outcome(budget.pow, base, exp) == outcome(textbook_budget_pow, budget, base, exp)
+
+
+@given(even_and_odd_bases().filter(lambda b: b >= 2), st.integers(1, 64))
+def test_bit_budget_pow_dies_on_the_same_edges(base, exp):
+    # a power exactly as wide as the budget passes, one bit wider dies in
+    # the check, and the pre-guard fires on the predicted width as before
+    width = (base**exp).bit_length()
+    assert BitBudget(width).pow(base, exp) == base**exp
+    post = f"^value of {width} bits exceeds budget of {width - 1} bits$"
+    with pytest.raises(BudgetExceededError, match=post):
+        BitBudget(width - 1).pow(base, exp)
+    guard = max((base.bit_length() - 1) * exp, exp)
+    for bits in (guard - 1, guard, guard + 1):
+        if bits >= 1:
+            budget = BitBudget(bits)
+            assert outcome(budget.pow, base, exp) == outcome(textbook_budget_pow, budget, base, exp)
+    if guard > 1:
+        pre = f"{_short(base)}**{exp} exceeds budget of {guard - 1} bits"
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(pre)}$"):
+            BitBudget(guard - 1).pow(base, exp)
 
 
 def test_short_rendering():

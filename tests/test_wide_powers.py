@@ -30,11 +30,12 @@ from fractal_goodstein.upgrade import UpgradeContext
 from oracles import outcome, textbook_deep_change
 
 # (b, c) pairs for the plain base change: narrow and wide bases, the
-# identity, and targets far enough above b that some changes die on the
-# default budget
+# identity, targets far enough above b that some changes die on the default
+# budget, and even targets, whose powers are taken as their odd part's, shifted
 CHANGE_PAIRS = [
     (2, 2), (3, 3), (3, 4), (10, 11), (10, 12), (255, 256), (256, 257),
     (1000, 1001), (1000, 1500), (2**20 + 7, 2**20 + 8), (2**40 + 1, 2**41),
+    (5, 6), (11, 12), (1000, 1024),
 ]
 SOURCE, TARGET = [2, 6], [3, 30, 180]
 UPGRADE_PAIRS = [(2, 2), (2, 3), (6, 6), (6, 7), (6, 30)]
@@ -117,6 +118,7 @@ def test_upgrade_context_deep_changes_match_the_textbook_change(walk):
         (10, 12, sum(d * 10**e for d, e in ((7, 400), (3, 399), (9, 398), (1, 300), (4, 299), (2, 7)))),
         (6, 7, 6**400 + 5 * 6**399 + 4 * 6**360 + 3),
         (1000, 1001, 999 * 1000**1010 + 1000**1009 + 5 * 1000**900 + 1000**40),
+        (1000, 1024, 999 * 1000**1010 + 1000**1009 + 5 * 1000**900 + 1000**40),
     ],
 )
 def test_every_budget_dies_with_the_textbook_text(b, c, m):
