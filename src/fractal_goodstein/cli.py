@@ -10,7 +10,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from .hierarchy import HorizonError
 from .interpretations import PsiInterpretation, ThetaInterpretation
 from .numerals import BitBudget, BudgetExceededError
 from .ordinal_terms import (
@@ -152,7 +151,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except (BudgetExceededError, HorizonError) as e:
+    except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 2
     except (OrdinalError, ValueError, OSError) as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Iterator
 
-from .numerals import INFINITY, ExtNat, Infinity, _short
+from .numerals import INFINITY, BudgetExceededError, ExtNat, Infinity, _short
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -24,13 +24,18 @@ __all__ = [
 DEFAULT_HORIZON = 512
 
 
-class HorizonError(Exception):
+class HorizonError(BudgetExceededError):
     """A lazy hierarchy query was not settled within the horizon.
 
-    Distinct from an infinite answer: INFINITY means the query is
-    settled and unbounded, HorizonError means we refused to look
-    further.
+    A budget on materialized bases: unlike INFINITY, which settles a query
+    as unbounded, HorizonError means we refused to look further.
     """
+
+
+def _check_horizon(horizon: object) -> int:
+    if type(horizon) is not int or horizon < 1:
+        raise ValueError(f"the horizon must be a positive integer, got {horizon!r:.40}")
+    return horizon
 
 
 def _check_increasing(prev: int, cur: int) -> None:
@@ -182,10 +187,8 @@ class LazyHierarchy(Hierarchy):
         horizon: int = DEFAULT_HORIZON,
         description: str = "",
     ) -> None:
-        if horizon < 1:
-            raise ValueError("horizon must be positive")
+        self._horizon = _check_horizon(horizon)
         self._it = iter(source)
-        self._horizon = horizon
         self._exhausted = False
         self._desc = description
         self._elems = []

@@ -435,28 +435,27 @@ def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
     over it.  Each term is summed before the next is asked for.
     """
     pairs: list = []  # the (exponent, coefficient) pairs stored in the terms
+    totals = [(0, 0)]  # the node count and depth of pairs[:k], at k
     nodes = deepest = 0  # of pairs
     tail = CNT_ZERO
     for y in terms:
         monos = y.monos
         if monos:
             lead, coeff = monos[0]
-            popped = False
             while pairs and (order := compare(pairs[-1][0], lead)) <= 0:
-                popped = True
                 _, below = pairs.pop()
+                totals.pop()
                 if order == 0:
                     monos = ((lead, cnt_add(below, coeff)), *monos[1:])
                     break
-            if popped:
-                nodes = sum(e.size + c.size for e, c in pairs)
-                deepest = max((max(e.depth, c.depth) for e, c in pairs), default=0)
+            nodes, deepest = totals[-1]
             for exp, coeff in monos:
                 nodes += exp.size + coeff.size
                 if exp.depth > deepest:
                     deepest = exp.depth
                 if coeff.depth > deepest:
                     deepest = coeff.depth
+                totals.append((nodes, deepest))
             pairs.extend(monos)
             tail = y.tail
         elif y.tail.is_zero():

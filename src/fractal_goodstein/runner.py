@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .hierarchy import DEFAULT_HORIZON, HorizonError
+from .hierarchy import DEFAULT_HORIZON
 from .interpretations import PsiInterpretation, ThetaReader, majorize_witness
 from .numerals import BitBudget, BudgetExceededError, superexp
 from .ordinal_terms import (
@@ -55,8 +55,7 @@ __all__ = [
 TRACE_FORMAT = "goodstein-trace"
 TRACE_VERSION = 2
 
-_DEATHS = (BudgetExceededError, HorizonError)
-_CERT_ERRORS = _DEATHS + (OrdinalError, ValueError)
+_CERT_ERRORS = (BudgetExceededError, OrdinalError, ValueError)
 # what checking a row can raise: a malformed row, or a replay that fails
 _ROW_ERRORS = _CERT_ERRORS + (AttributeError, KeyError, TypeError)
 
@@ -241,7 +240,7 @@ class _Steps:
                         self.psi_stop = {"step": i, "reason": str(e)}
                 value = h.upgrade_step(i, value) - 1
                 i += 1
-        except _DEATHS as e:
+        except BudgetExceededError as e:
             self.outcome, self.detail = "budget_exceeded", str(e)
 
 
@@ -525,7 +524,7 @@ def lower_bound_chain(
             break
         try:
             v = oh.upgrade_step(j, v) - 1
-        except (BudgetExceededError, HorizonError) as e:
+        except BudgetExceededError as e:
             report.run_failure = f"step {j}: {e}"
             break
         report.run_values.append(v)

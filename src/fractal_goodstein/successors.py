@@ -23,6 +23,7 @@ from .hierarchy import (
     DEFAULT_HORIZON,
     FiniteHierarchy,
     Hierarchy,
+    _check_horizon,
     _check_increasing,
     _coerce,
     HorizonError,
@@ -72,7 +73,7 @@ class PlusHierarchy(Hierarchy):
         self.base = _coerce(base)
         self.index = index
         self.budget = budget
-        self._hor = horizon
+        self._hor = _check_horizon(horizon)
         self._powers = powers
         self._elems = [self.base.min_base + 1]
         self._added_at = [0]
@@ -118,7 +119,7 @@ class PlusHierarchy(Hierarchy):
                     assert nd is not INFINITY
                     self._append(nd, pos)
                     d = nd
-            except (BudgetExceededError, HorizonError):
+            except BudgetExceededError:
                 # the event applies whole or not at all, so a retry starts
                 # again from d_0; the message, formatted before this, still
                 # names the partial successor, as traces always recorded it
@@ -158,15 +159,15 @@ class PlusHierarchy(Hierarchy):
             self._frontier = pos
 
     def _extend_one(self) -> bool:
-        before = len(self._elems)
-        while len(self._elems) == before:
-            ev = self._next_event()
-            if ev is None:
-                self._no_more_events = True
-                return False
-            pos, is_base = ev
-            self._apply_event(pos, is_base)
-            self._frontier = pos
+        # one event always appends: a source event one base, a critical event
+        # index >= 1 of them (a successor of index 0 gets no critical events)
+        ev = self._next_event()
+        if ev is None:
+            self._no_more_events = True
+            return False
+        pos, is_base = ev
+        self._apply_event(pos, is_base)
+        self._frontier = pos
         return True
 
     def materialize(self) -> FiniteHierarchy:
@@ -267,10 +268,8 @@ class DynamicalHierarchy:
         horizon: int = DEFAULT_HORIZON,
         first: Hierarchy | None = None,
     ) -> None:
-        if type(horizon) is not int or horizon < 1:
-            raise ValueError(f"the horizon must be a positive integer, got {horizon!r:.40}")
         self.budget = budget
-        self.horizon = horizon
+        self.horizon = _check_horizon(horizon)
         self._stages: list[Hierarchy] = [FiniteHierarchy([2]) if first is None else first]
         self._plus: list[PlusHierarchy] = []
         self._powers: Powers = {}
@@ -306,7 +305,7 @@ class DynamicalHierarchy:
             )
             try:
                 nxt = self._next_stage(j, p)
-            except (BudgetExceededError, HorizonError) as e:
+            except BudgetExceededError as e:
                 self._death = (type(e), e.args)
                 raise
             self._plus.append(p)

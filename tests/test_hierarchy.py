@@ -9,7 +9,7 @@ from fractal_goodstein.hierarchy import (
     HorizonError,
     LazyHierarchy,
 )
-from fractal_goodstein.numerals import INFINITY
+from fractal_goodstein.numerals import INFINITY, BudgetExceededError
 
 
 def test_validation_rules():
@@ -110,6 +110,16 @@ def test_lazy_hierarchy_horizon():
     with pytest.raises(HorizonError) as exc:
         lh.s_next(2 * 3**9)
     assert "more than 5 materialized bases" in str(exc.value)
+
+
+def test_a_horizon_error_is_a_budget_error():
+    # the horizon is a budget on materialized bases: one handler takes both
+    assert issubclass(HorizonError, BudgetExceededError)
+    lh = LazyHierarchy((2 * 3**i for i in itertools.count()), horizon=5)
+    with pytest.raises(BudgetExceededError) as exc:
+        lh.s_next(2 * 3**9)
+    assert type(exc.value) is HorizonError
+    assert str(exc.value) == "lazy hierarchy needs more than 5 materialized bases"
 
 
 def test_lazy_hierarchy_exhausted_source_is_finite():

@@ -487,6 +487,19 @@ def test_replay_stops_one_step_past_the_trace(monkeypatch):
     assert upgrades == [0, 1, 2, 3, 4]
 
 
+def test_a_replay_that_fails_one_step_past_the_trace_is_reported():
+    # no rows, and a seed over the stage-0 bound: the replay fails on the
+    # step it takes to find the end of the run
+    lines = run("finite-for: 3", 2).trace_lines()
+    forged = _mutate([lines[0], lines[-1]], 0, "seed", "5")
+    report = verify_trace(forged)
+    assert not report.ok
+    assert report.problems == [
+        "outcome line claims 4 steps, trace has 0",
+        "step 0: recomputation failed: value exceeds the stage-0 bound 3",
+    ]
+
+
 def test_unwanted_certificates_are_rejected():
     lines = run("classic", 3, certify="both").trace_lines()
     docs = [json.loads(ln) for ln in lines]

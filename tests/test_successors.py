@@ -134,6 +134,32 @@ def test_plus_chain_starts_from_every_base_of_a_start_that_is_not_finite():
         dynamical("plus-chain", start=LazyHierarchy((2**k for k in count(1)), horizon=8))
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, True])
+def test_every_constructor_checks_its_horizon_alike(horizon):
+    builds = [
+        lambda: PlusHierarchy([2], 1, horizon=horizon),
+        lambda: LazyHierarchy(iter([2, 6]), horizon=horizon),
+        lambda: dynamical("ouroboros", horizon=horizon),
+        lambda: run("ouroboros", 3, horizon=horizon),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == f"the horizon must be a positive integer, got {horizon!r}"
+
+
+def test_a_horizon_death_is_a_budget_death():
+    # seed 2 reaches step 3, whose stage needs a seventh base
+    with pytest.raises(BudgetExceededError) as exc:
+        dynamical("diagonal", horizon=6).stage(3)
+    assert type(exc.value) is HorizonError
+    result = run("diagonal", 2, horizon=6, certify="none")
+    assert len(result.records) == 3
+    assert result.outcome == "budget_exceeded"
+    assert result.detail == str(exc.value)
+    assert result.detail.endswith("needs more than 6 materialized bases")
+
+
 def test_ouroboros_stages():
     oo = dynamical("ouroboros")
     assert oo.spec_string() == "ouroboros"
@@ -343,7 +369,7 @@ def test_a_dying_successor_is_built_once(appends):
 )
 def test_a_remembered_death_raises_the_same_error(appends, kind, params, i, v):
     h = dynamical(kind, **params)
-    with pytest.raises((BudgetExceededError, HorizonError)) as first:
+    with pytest.raises(BudgetExceededError) as first:
         h.plus_object(i)
     built = len(appends)
     retries = [lambda: h.plus_object(i), lambda: h.upgrade_step(i, v), lambda: h.stage(i + 1)]
