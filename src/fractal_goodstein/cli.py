@@ -11,7 +11,7 @@ import sys
 from typing import Sequence
 
 from .interpretations import PsiInterpretation, ThetaInterpretation
-from .numerals import BitBudget, BudgetExceededError
+from .numerals import BitBudget, BudgetExceededError, _short
 from .ordinal_terms import (
     OrdinalError,
     as_cnt,
@@ -21,7 +21,7 @@ from .ordinal_terms import (
     step_down,
     term_to_str,
 )
-from .runner import run, verify_trace, write_trace
+from .runner import run, verify_trace
 from .successors import PlusHierarchy, static_hierarchy_from_spec
 
 __all__ = ["main"]
@@ -98,12 +98,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             budget=budget,
             certify=args.certify,
         )
+        text = "".join(line + "\n" for line in result.trace_lines())  # before --out empties its file
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                write_trace(result, fh)
+                fh.write(text)
             print(f"outcome: {result.outcome} after {len(result.records)} steps -> {args.out}")
         else:
-            write_trace(result, sys.stdout)
+            sys.stdout.write(text)
         if result.outcome == "budget_exceeded":
             return 2
         return 0
@@ -129,7 +130,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         base = static_hierarchy_from_spec(args.base)
         plus = PlusHierarchy(base, args.i)
         stage = plus.stage_at(args.n)
-        print(",".join(str(x) for x in stage))
+        print(",".join(map(_short, stage)))
         return 0
     if args.command == "interp":
         h = static_hierarchy_from_spec(args.hierarchy)

@@ -68,12 +68,13 @@ class BitBudget:
         if base >= 2 and (
             exp > self.bits or (base.bit_length() - 1) * exp > self.bits
         ):
-            raise BudgetExceededError(
-                f"{_short(base)}**{_short(exp)} exceeds budget of {self.bits} bits"
-            )
+            raise self.refusal(base, exp)
         if (t := (base & -base).bit_length() - 1) > 0:
             return self.check((base >> t) ** exp << t * exp)
         return self.check(base**exp)
+
+    def refusal(self, base: int, exp: int) -> BudgetExceededError:
+        return BudgetExceededError(f"{_short(base)}**{_short(exp)} exceeds budget of {self.bits} bits")
 
 
 def _short(n: int) -> str:
@@ -305,6 +306,29 @@ def _phi_value(
         tail = rest if rest < low else up(rest)
         acc = INFINITY if tail is INFINITY else budget.check(acc + tail)
     return acc
+
+
+def _change_width(m: int, b: int, low: int, d: int) -> tuple[int, int] | None:
+    """Width of the deep change of m into d, and m's lead exponent e1; None if unsettled.
+
+    With m's hereditary digits along b below low, the change is P(d) = sum(d**e * a) + r.
+    For d = T * 2**s + R, T its top 128 bits, and r plus the other coefficients
+    below 2**s, P(d) lies in [lo, hi) * 2**(s*e1): lo = T**e1 * a1 and
+    hi = (T + 1)**(e1 - 1) * ((T + 1) * a1 + 1), as each later monomial is at most d**(e1 - 1) * a.
+    """
+    terms = []
+    while m >= b:
+        e, power = _floor_log(m, b)
+        a, m = divmod(m, power)
+        if e >= low or a >= low:
+            return None
+        terms.append((e, a))
+    (e1, a1), s = terms[0], max(d.bit_length() - 128, 0)
+    if m >= low or sum(a for _, a in terms[1:]) + m >> s:
+        return None
+    t = d >> s
+    lo, hi = t**e1 * a1, (t + 1) ** (e1 - 1) * ((t + 1) * a1 + 1)
+    return (lo.bit_length() + s * e1, e1) if lo.bit_length() == (hi - 1).bit_length() else None
 
 
 def base_change(

@@ -36,6 +36,7 @@ from .numerals import (
     ExtNat,
     INFINITY,
     Powers,
+    _change_width,
     _phi_value,
     base_change,
     superexp,
@@ -114,7 +115,9 @@ class PlusHierarchy(Hierarchy):
             d = self._elems[-1]
             start = len(self._elems)
             try:
-                for _ in range(self.index):
+                for k in range(self.index):
+                    if k + 1 < self.index and (death := self._doomed(b, d, pos)):
+                        raise death
                     nd = self._phi(b, d, pos)
                     assert nd is not INFINITY
                     self._append(nd, pos)
@@ -125,6 +128,18 @@ class PlusHierarchy(Hierarchy):
                 # names the partial successor, as traces always recorded it
                 del self._elems[start:], self._added_at[start:]
                 raise
+
+    def _doomed(self, b: int, d: int, pos: int) -> BudgetExceededError | None:
+        """The pre-guard's refusal of the iterate after next, if the next one's width settles it.
+
+        For pos below 65 bits with digits below the minimum base, the next iterate
+        reads no table of powers and upgrades nothing.  If it fits horizon and budget
+        and its width W has W <= bits < (W - 1) * e1, the event dies with that text
+        without it.  Past 256 bits the text shows only W, so a stand-in of width W serves.
+        """
+        w, e1 = pos.bit_length() <= 64 and _change_width(pos, b, self.base.min_base, d) or (0, 0)
+        doomed = 256 < w <= self.budget.bits < (w - 1) * e1 and len(self._elems) < self._hor
+        return self.budget.refusal(1 << (w - 1), e1) if doomed else None
 
     def _append(self, x: int, pos: int) -> None:
         """Append a base built by _apply_event, checking horizon, budget and order.

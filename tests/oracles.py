@@ -19,6 +19,10 @@ base**exp as it stands, then the budget check.  textbook_deep_change is the
 deep base change that numerals._phi_value computes, written out: every
 base-b digit by repeated division, and a fresh textbook power for every
 monomial.
+
+EveryIteratePlusHierarchy is PlusHierarchy with the critical-event loop it
+had before a dying event read its last iterate's width: it takes every
+iterate d_{k+1} = Phi(d_k), the one that only names the death included.
 """
 
 import contextlib
@@ -38,6 +42,7 @@ from fractal_goodstein.ordinal_terms import (
     cnt_add,
     compare,
 )
+from fractal_goodstein.successors import PlusHierarchy
 
 TERM_CLASSES = (ordinal_terms.Atom, ordinal_terms.CntTerm, ordinal_terms.OrdTerm)
 
@@ -180,3 +185,23 @@ def textbook_deep_change(up, b, c, m, budget, low):
         return acc
     tail = ds[0] if ds[0] < low else up(ds[0])
     return INFINITY if tail is INFINITY else budget.check(acc + tail)
+
+
+class EveryIteratePlusHierarchy(PlusHierarchy):
+    """A successor whose critical events take every iterate, applied whole or not at all."""
+
+    def _apply_event(self, pos: int, is_base: bool) -> None:
+        if is_base:
+            return super()._apply_event(pos, is_base)
+        b = self.base.upper_base(pos)
+        d = self._elems[-1]
+        start = len(self._elems)
+        try:
+            for _ in range(self.index):
+                nd = self._phi(b, d, pos)
+                assert nd is not INFINITY
+                self._append(nd, pos)
+                d = nd
+        except BudgetExceededError:
+            del self._elems[start:], self._added_at[start:]
+            raise

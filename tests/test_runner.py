@@ -713,6 +713,25 @@ def test_cli_hierarchy_stage(capsys):
     assert out.out == "" and out.err.startswith("budget exhausted: ")
 
 
+def test_cli_hierarchy_stage_prints_wide_bases_by_width(capsys):
+    # the event at 36 appends a base of 15,351 bits, past the int-to-str limit
+    assert cli("hierarchy", "stage", "--base", "4", "--i", "2", "--n", "36") == 0
+    assert "<15351-bit integer>" in capsys.readouterr().out.strip().split(",")
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int-to-str digit limit")
+def test_cli_run_leaves_the_out_file_alone_when_the_trace_cannot_be_written(tmp_path, capsys):
+    # the run ends at its step cap, but a stage base of its last rows is wider
+    # than the decimal base column can print: no trace line is written, and
+    # the file the trace would replace keeps its text
+    p = tmp_path / "t.jsonl"
+    p.write_text("kept\n", encoding="utf-8")
+    argv = ("--hierarchy", "plus-chain: 2,6", "--seed", "32", "--max-steps", "1500")
+    assert cli("run", *argv, "--certify", "none", "--out", str(p)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert p.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_cli_interp(capsys):
     assert cli("interp", "o", "--hierarchy", "finite: 2,6", "--n", "4") == 0
     assert capsys.readouterr().out.strip() == "v(W^(W^1*1)*1)"

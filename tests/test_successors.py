@@ -1,19 +1,21 @@
 """Plus-construction stages and the dynamical base hierarchies built on them."""
 
 from itertools import count
+from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractal_goodstein.hierarchy import FiniteHierarchy, HorizonError, LazyHierarchy
 from fractal_goodstein.numerals import (
     DEFAULT_BUDGET,
     BitBudget,
     BudgetExceededError,
+    _change_width,
     _phi_value,
     base_change,
 )
-from fractal_goodstein.runner import run
+from fractal_goodstein.runner import run, verify_trace
 from fractal_goodstein.successors import (
     PlusHierarchy,
     d_sequence,
@@ -21,6 +23,7 @@ from fractal_goodstein.successors import (
     ouroboros_stage,
 )
 from fractal_goodstein.upgrade import UpgradeContext
+from oracles import EveryIteratePlusHierarchy
 
 
 def test_plus_zero_stage_of_2_6():
@@ -355,8 +358,11 @@ def test_a_deep_change_keeps_multiples_of_the_base(n, c):
 def test_a_dying_successor_is_built_once(appends):
     result = run("diagonal", 2, certify="both")
     # psi evidence meets the death first; the upgrade that follows meets the
-    # remembered one instead of building the index-2 successor of {4} again
-    assert len(appends) == 21
+    # remembered one instead of building the index-2 successor of {4} again.
+    # 20 bases, not 21: the first iterate of the dying event at 48 only named
+    # the death by its width, so it is read from a bracket and never appended
+    # (this counts an internal call, not an output)
+    assert len(appends) == 20
     assert {(p.index, p.base.known_elements()) for p, _ in appends} == {(2, (4,))}
     assert result.outcome == "budget_exceeded"
     assert result.detail == DIAGONAL_DEATH
@@ -379,3 +385,136 @@ def test_a_remembered_death_raises_the_same_error(appends, kind, params, i, v):
         assert type(again.value) is type(first.value)
         assert again.value.args == first.value.args
     assert len(appends) == built
+
+
+# --- a dying critical event reads its last iterate's width -----------------------
+
+
+def _drive(p, events=60):
+    """Apply up to ``events`` events; the error that ends them as (type, args), or None."""
+    try:
+        for _ in range(events):
+            if not p._extend_one():
+                break
+    except BudgetExceededError as e:
+        return type(e), e.args
+    return None
+
+
+def _iterates_taken(monkeypatch):
+    """Count PlusHierarchy._phi calls per successor object."""
+    calls = {}
+    real = PlusHierarchy._phi
+
+    def counted(self, b, c, m):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real(self, b, c, m)
+
+    monkeypatch.setattr(PlusHierarchy, "_phi", counted)
+    return calls
+
+
+def test_a_dying_event_ends_as_when_every_iterate_is_taken(monkeypatch):
+    calls = _iterates_taken(monkeypatch)
+    skipped = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from([[2], [3], [4], [2, 4], [2, 6], [3, 9], [3, 12], [4, 8]]),
+        st.integers(2, 3),
+        st.one_of(st.integers(256, 1024), st.integers(1025, 1 << 16)),
+        st.one_of(st.integers(3, 20), st.just(512)),
+    )
+    def same_events(base, index, bits, horizon):
+        fast = PlusHierarchy(base, index, BitBudget(bits), horizon)
+        slow = EveryIteratePlusHierarchy(base, index, BitBudget(bits), horizon)
+        assert _drive(fast) == _drive(slow)
+        assert fast.known_elements() == slow.known_elements()
+        assert fast._added_at == slow._added_at
+        skipped.append(calls.pop(id(slow), 0) - calls.pop(id(fast), 0))
+
+    same_events()
+    # where the shortcut fires, it skips the iterate that only named the death
+    # and the deep change that died on its width; it fired on some examples
+    assert set(skipped) == {0, 2} and skipped.count(2) > 10
+
+
+@pytest.mark.parametrize("half", [200, 1000, 20000])
+def test_a_width_the_bracket_straddles_takes_the_iterate(monkeypatch, half):
+    # 3 * d**2 crosses 2**(2 * half) between these d, far closer than the top
+    # 128 bits of d can tell: the bracket is unsettled, the iterate is taken
+    # in full, and it dies, at either width, on the pre-guard of the next one
+    calls = _iterates_taken(monkeypatch)
+    root = isqrt((1 << 2 * half) // 3)
+    for d in range(root - 1, root + 3):
+        assert _change_width(48, 4, 4, d) is None
+        deaths = []
+        for cls in (PlusHierarchy, EveryIteratePlusHierarchy):
+            p = cls([4], 2, BitBudget(2 * half + 1))
+            p._elems[-1] = d
+            with pytest.raises(BudgetExceededError) as death:
+                p._apply_event(48, False)  # 48 = 3 * 4**2: the iterate is 3 * d**2
+            deaths.append((death.value.args, p.known_elements(), calls.pop(id(p))))
+        width = (3 * d * d).bit_length()
+        assert width in (2 * half, 2 * half + 1)
+        assert deaths[0] == deaths[1] == (
+            (f"<{width}-bit integer>**2 exceeds budget of {2 * half + 1} bits",), (d,), 2
+        )
+
+
+@given(
+    st.integers(11, 1 << 3000),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.integers(0, 9),
+    st.integers(1, 4),
+)
+def test_a_settled_width_is_exact(d, coeffs, tail, top):
+    # m's digits, exponents and tail are all below 10, so its deep change
+    # into d is the polynomial that its decimal digits spell
+    e1 = top + len(coeffs) - 1
+    m = sum(10 ** (e1 - i) * a for i, a in enumerate(coeffs)) + tail
+    exact = sum(d ** (e1 - i) * a for i, a in enumerate(coeffs)) + tail
+    assert _change_width(m, 10, 10, d) in (None, (exact.bit_length(), e1))
+
+
+def test_a_change_with_an_upgraded_digit_has_no_width():
+    d = 2**300 + 5
+    assert _change_width(3 * 4**2 + 2 * 4 + 1, 4, 4, d) == ((3 * d * d).bit_length(), 2)
+    # an exponent, a coefficient or a tail at or above low is upgraded
+    for m in (4**4, 4**2 * 3, 2 * 4**2 + 3):
+        assert _change_width(m, 4, 3, d) is None
+
+
+def test_lower_monomials_that_carry_the_width_leave_it_unsettled():
+    # 199 spells d**2 + 9 * d + 9, which passes 2**(2k) where d**2 does not:
+    # below 128 bits the lower coefficients exceed d's cut bits, and at
+    # 2**300 - 1 the carry from T + 1 is what the bracket's top must allow for
+    for d in (2**40 - 2, 2**300 - 1):
+        exact = (d * d + 9 * d + 9).bit_length()
+        assert exact == (d * d).bit_length() + 1
+        assert _change_width(199, 10, 10, d) is None
+
+
+def test_a_width_far_from_a_power_of_two_is_settled():
+    for d in (3**500, 5**1000 + 7, 7**9000):
+        for m, e1 in ((300, 2), (2012, 3), (130, 2)):
+            exact = sum(d**e * int(a) for e, a in enumerate(reversed(str(m))))
+            assert _change_width(m, 10, 10, d) == (exact.bit_length(), e1)
+
+
+def test_run_and_verify_of_diagonal_seed_2_take_no_wide_square(monkeypatch):
+    # the dying event at 48 squares a 491,242-bit base at most; the iterate
+    # 3 * d**2 that only named the death took a 982,483-bit square before
+    widths = []
+    real = BitBudget.pow
+
+    def measured(self, base, exp):
+        power = real(self, base, exp)
+        widths.append(power.bit_length())
+        return power
+
+    monkeypatch.setattr(BitBudget, "pow", measured)
+    result = run("diagonal", 2, certify="both")
+    assert verify_trace(result.trace_lines()).ok
+    assert result.detail == DIAGONAL_DEATH
+    assert max(widths) <= 491_241
