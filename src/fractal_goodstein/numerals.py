@@ -8,6 +8,7 @@ A deep base change takes each wide power once: its first c**pe is the first
 b**e of the next step's decomposition in base c, handed on in a run's table,
 and within a walk a power is derived from the one above it, exact and no
 wider than it.  An even base's power is its odd part's power, shifted.
+_change_width carries the iterates of a polynomial deep change by their widths.
 """
 
 from __future__ import annotations
@@ -308,13 +309,27 @@ def _phi_value(
     return acc
 
 
-def _change_width(m: int, b: int, low: int, d: int) -> tuple[int, int] | None:
-    """Width of the deep change of m into d, and m's lead exponent e1; None if unsettled.
+Bracket = tuple[int, int, int]  # (s, lo, hi): lo * 2**s <= value < hi * 2**s
 
-    With m's hereditary digits along b below low, the change is P(d) = sum(d**e * a) + r.
-    For d = T * 2**s + R, T its top 128 bits, and r plus the other coefficients
-    below 2**s, P(d) lies in [lo, hi) * 2**(s*e1): lo = T**e1 * a1 and
-    hi = (T + 1)**(e1 - 1) * ((T + 1) * a1 + 1), as each later monomial is at most d**(e1 - 1) * a.
+
+def _bracket(s: int, lo: int, hi: int) -> Bracket:
+    """(s, lo, hi), exact up to 256 bits as _short prints it, else cut to 128: lo down, hi up."""
+    t = lo.bit_length() - 128 if s or lo.bit_length() > 256 else 0
+    return s + t, lo >> t, -(-hi >> t)
+
+
+def _width(v: Bracket) -> int | None:
+    """The bit length of every value in v; None if v straddles a power of two."""
+    return v[1].bit_length() + v[0] if v[1].bit_length() == (v[2] - 1).bit_length() else None
+
+
+def _change_width(m: int, b: int, low: int, d: Bracket) -> tuple[Bracket, int] | None:
+    """The deep change of m into d as a bracket, and m's lead exponent e1; None out of reach.
+
+    With m's hereditary digits along b below low, the change is P(d) = sum(d**e * a) + r,
+    taken exactly on an exact d (s = 0, hi = lo + 1).  For a cut d, with r plus the other
+    coefficients below 2**s, P(d) lies in [lo', hi') * 2**(s*e1): lo' = lo**e1 * a1 and
+    hi' = hi**(e1 - 1) * (hi * a1 + 1), as each later monomial is at most d**(e1 - 1) * a.
     """
     terms = []
     while m >= b:
@@ -323,12 +338,13 @@ def _change_width(m: int, b: int, low: int, d: int) -> tuple[int, int] | None:
         if e >= low or a >= low:
             return None
         terms.append((e, a))
-    (e1, a1), s = terms[0], max(d.bit_length() - 128, 0)
-    if m >= low or sum(a for _, a in terms[1:]) + m >> s:
+    (e1, a1), (s, lo, hi) = terms[0], d
+    if m >= low or s and sum(a for _, a in terms[1:]) + m >> s:
         return None
-    t = d >> s
-    lo, hi = t**e1 * a1, (t + 1) ** (e1 - 1) * ((t + 1) * a1 + 1)
-    return (lo.bit_length() + s * e1, e1) if lo.bit_length() == (hi - 1).bit_length() else None
+    if s:
+        return _bracket(s * e1, lo**e1 * a1, hi ** (e1 - 1) * (hi * a1 + 1)), e1
+    x = sum(lo**e * a for e, a in terms) + m
+    return _bracket(0, x, x + 1), e1
 
 
 def base_change(

@@ -55,6 +55,12 @@ __all__ = [
 TRACE_FORMAT = "goodstein-trace"
 TRACE_VERSION = 2
 
+# the keys run writes; its values are compared as JSON text, where 1.0 is not 1
+_HEAD_KEYS = {"format", "version", "hierarchy", "seed", "caps"}
+_CAPS_KEYS = {"max_steps", "bit_budget", "certify"}
+_ROW_KEYS = {"i", "value", "base", "theta", "psi"}
+_TAIL_KEYS = {"outcome", "steps", "detail", "theta_stop", "psi_stop"}
+
 _CERT_ERRORS = (BudgetExceededError, OrdinalError, ValueError)
 # what checking a row can raise: a malformed row, or a replay that fails
 _ROW_ERRORS = _CERT_ERRORS + (AttributeError, KeyError, TypeError)
@@ -311,7 +317,8 @@ def verify_trace(source: str | Iterable[str]) -> VerifyReport:
     The hierarchy is rebuilt from the header and the step loop of ``run`` is
     replayed under the recorded caps, one step per row: every row must equal
     its replayed step, and the outcome line the replayed ending (outcome,
-    death detail and both evidence stops, compared whole).  On its own, from
+    death detail and both evidence stops, compared whole as JSON).  Header,
+    rows and outcome line carry the keys run writes and no others.  From
     the claimed terms, the verifier also checks that the theta chain strictly
     descends and that the psi chain links and stays at or below the value.
     A claimed term is matched by its text against the canonical printing of
@@ -346,9 +353,11 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
                 "version 2 in hex; re-run to get a version 2 trace"
             )
             return VerifyReport(False, [problem])
-        if head.get("version") != TRACE_VERSION:
+        if json.dumps(head.get("version")) != json.dumps(TRACE_VERSION):
             return VerifyReport(False, ["not a recognized trace header"])
         caps = head["caps"]
+        if set(head) != _HEAD_KEYS or not _CAPS_KEYS <= set(caps) <= _CAPS_KEYS | {"horizon"}:
+            raise ValueError("its keys are not those a run writes")
         if caps.get("horizon") == DEFAULT_HORIZON:
             raise ValueError(f"a run leaves the default horizon {DEFAULT_HORIZON} out of its caps")
         horizon = caps.get("horizon", DEFAULT_HORIZON)
@@ -375,6 +384,8 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         if type(row.get("i")) is not int or row["i"] != pos:
             problems.append(f"{where}: index {row.get('i')} out of order")
             return False
+        if not set(row) <= _ROW_KEYS or "psi" in row and set(row["psi"]) != {"n", "u"}:
+            problems.append(f"{where}: keys are not those a run writes")
         value = _str_int(row["value"])
         if value != rec.value:
             problems.append(f"{where}: value does not recompute")
@@ -422,6 +433,8 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         pos += 1
         row = nxt
     tail = row if isinstance(row, dict) else {}
+    if set(tail) != _TAIL_KEYS:
+        problems.append("outcome line keys are not those a run writes")
     if type(tail.get("steps")) is not int or tail["steps"] != pos:
         problems.append(f"outcome line claims {tail.get('steps')} steps, trace has {pos}")
     if live:
@@ -436,7 +449,7 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
                 problems.extend(
                     f"{key} does not reproduce"
                     for key in ("outcome", "detail", "theta_stop", "psi_stop")
-                    if tail.get(key) != getattr(steps, key)
+                    if json.dumps(tail.get(key)) != json.dumps(getattr(steps, key))
                 )
     return VerifyReport(not problems, problems, tail.get("outcome"), pos)
 

@@ -36,8 +36,10 @@ from .numerals import (
     ExtNat,
     INFINITY,
     Powers,
+    _bracket,
     _change_width,
     _phi_value,
+    _width,
     base_change,
     superexp,
 )
@@ -79,6 +81,7 @@ class PlusHierarchy(Hierarchy):
         self._elems = [self.base.min_base + 1]
         self._added_at = [0]
         self._frontier = self.base.min_base
+        self._checked_to = 0  # critical events before this survive, as a width pass showed
         self._no_more_events = False
 
     def __repr__(self) -> str:
@@ -88,9 +91,8 @@ class PlusHierarchy(Hierarchy):
 
     # --- event walking ---
 
-    def _next_event(self) -> tuple[int, bool] | None:
-        """Position and kind (True = source-base event) of the next event."""
-        pos = self._frontier
+    def _next_event(self, pos: int) -> tuple[int, bool] | None:
+        """Position and kind (True = source-base event) of the first event after pos."""
         next_b = self.base.s_next(pos)
         if self.index == 0:
             # critical events add nothing, so only source bases matter
@@ -103,7 +105,8 @@ class PlusHierarchy(Hierarchy):
             return next_b, True
         return multiple, False
 
-    def _apply_event(self, pos: int, is_base: bool) -> None:
+    def _apply_event(self, pos: int, is_base: bool, until: int) -> None:
+        """Apply the event at pos on the way to until; a critical one first runs the width pass."""
         if is_base:
             c = self._elems[-1]
             b = self.base.lower_base(pos)
@@ -111,13 +114,13 @@ class PlusHierarchy(Hierarchy):
             assert ph is not INFINITY
             self._append(c * (ph // c + 1), pos)
         else:
+            if pos >= self._checked_to and (death := self._proved_death(pos, until)):
+                raise death
             b = self.base.upper_base(pos)
             d = self._elems[-1]
             start = len(self._elems)
             try:
-                for k in range(self.index):
-                    if k + 1 < self.index and (death := self._doomed(b, d, pos)):
-                        raise death
+                for _ in range(self.index):
                     nd = self._phi(b, d, pos)
                     assert nd is not INFINITY
                     self._append(nd, pos)
@@ -129,17 +132,31 @@ class PlusHierarchy(Hierarchy):
                 del self._elems[start:], self._added_at[start:]
                 raise
 
-    def _doomed(self, b: int, d: int, pos: int) -> BudgetExceededError | None:
-        """The pre-guard's refusal of the iterate after next, if the next one's width settles it.
+    def _proved_death(self, pos: int, until: int) -> BudgetExceededError | None:
+        """The pre-guard's refusal that ends the events from pos to until, if widths prove it.
 
-        For pos below 65 bits with digits below the minimum base, the next iterate
-        reads no table of powers and upgrades nothing.  If it fits horizon and budget
-        and its width W has W <= bits < (W - 1) * e1, the event dies with that text
-        without it.  Past 256 bits the text shows only W, so a stand-in of width W serves.
+        A critical event at a pos below 65 bits whose digits lie below the minimum
+        base has a polynomial iterate that reads no table of powers.  If every
+        iterate on the way has a settled width W <= bits and fits the horizon, and
+        then one has (W - 1) * e1 > bits, its first power dies on the pre-guard,
+        whose text shows a base past 256 bits by W alone.  Else the events run
+        exactly; ``_checked_to`` skips the passes of those before where it stopped.
         """
-        w, e1 = pos.bit_length() <= 64 and _change_width(pos, b, self.base.min_base, d) or (0, 0)
-        doomed = 256 < w <= self.budget.bits < (w - 1) * e1 and len(self._elems) < self._hor
-        return self.budget.refusal(1 << (w - 1), e1) if doomed else None
+        bits, x, n = self.budget.bits, self._elems[-1], len(self._elems)
+        d, w, is_base = _bracket(0, x, x + 1), x.bit_length(), False
+        while not is_base and pos <= until and pos.bit_length() <= 64:
+            b = self.base.upper_base(pos)
+            for _ in range(self.index):
+                change = _change_width(pos, b, self.base.min_base, d)
+                if change and (w - 1) * change[1] > bits:
+                    return self.budget.refusal(d[1] << d[0], change[1])
+                if not change or not (w := _width(change[0])) or w > bits or n >= self._hor:
+                    self._checked_to = pos
+                    return None
+                d, n = change[0], n + 1
+            pos, is_base = pos < until and self._next_event(pos) or (until + 1, True)
+        self._checked_to = pos
+        return None
 
     def _append(self, x: int, pos: int) -> None:
         """Append a base built by _apply_event, checking horizon, budget and order.
@@ -161,28 +178,22 @@ class PlusHierarchy(Hierarchy):
 
     def _advance_to(self, n: int) -> None:
         while self._frontier < n:
-            ev = self._next_event()
-            if ev is None:
-                self._no_more_events = True
+            ev = self._next_event(self._frontier)
+            if ev is None or ev[0] > n:
+                self._no_more_events = ev is None
                 self._frontier = n
                 return
-            pos, is_base = ev
-            if pos > n:
-                self._frontier = n
-                return
-            self._apply_event(pos, is_base)
-            self._frontier = pos
+            self._apply_event(*ev, n)
+            self._frontier = ev[0]
 
     def _extend_one(self) -> bool:
         # one event always appends: a source event one base, a critical event
         # index >= 1 of them (a successor of index 0 gets no critical events)
-        ev = self._next_event()
-        if ev is None:
+        if (ev := self._next_event(self._frontier)) is None:
             self._no_more_events = True
             return False
-        pos, is_base = ev
-        self._apply_event(pos, is_base)
-        self._frontier = pos
+        self._apply_event(*ev, ev[0])
+        self._frontier = ev[0]
         return True
 
     def materialize(self) -> FiniteHierarchy:
@@ -305,10 +316,10 @@ class DynamicalHierarchy:
         """Build the successors up to index i, each at most once.
 
         The build of successor j depends only on stage j, its index, the
-        budget and the horizon, all fixed per object, and an event that dies
-        leaves none of its bases behind, so a retry after a death would redo
-        the same work and die the same way: it raises an equal error (same
-        type, same args) instead.
+        budget and the horizon, all fixed per object.  An event that dies
+        leaves none of its bases behind, a call whose death is proved from
+        widths takes none, and a retry would redo the same work and die the
+        same way: it raises an equal error (same type, same args) instead.
         """
         while len(self._plus) <= i:
             if self._death is not None:

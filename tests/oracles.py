@@ -190,9 +190,9 @@ def textbook_deep_change(up, b, c, m, budget, low):
 class EveryIteratePlusHierarchy(PlusHierarchy):
     """A successor whose critical events take every iterate, applied whole or not at all."""
 
-    def _apply_event(self, pos: int, is_base: bool) -> None:
+    def _apply_event(self, pos: int, is_base: bool, until: int) -> None:
         if is_base:
-            return super()._apply_event(pos, is_base)
+            return super()._apply_event(pos, is_base, until)
         b = self.base.upper_base(pos)
         d = self._elems[-1]
         start = len(self._elems)

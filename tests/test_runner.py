@@ -232,6 +232,19 @@ TAMPERINGS = [
     ("max steps true", _header(*_ONE_STEP, "caps", True, subkey="max_steps")),
     ("bit budget true", _header(*_ONE_BIT, "caps", True, subkey="bit_budget")),
     ("bit budget float", _header(*_ONE_BIT, "caps", 1.0, subkey="bit_budget")),
+    # what compares equal to what run writes, or reads as it when missing, is
+    # still not what run writes: a float version or stop step, an outcome line
+    # without a key (read as None), and an extra key anywhere
+    ("version float", lambda ls: _mutate(ls, 0, "version", 2.0)),
+    ("psi stop step float", lambda ls: _mutate(ls, -1, "psi_stop", 1.0, subkey="step")),
+    ("detail deletion", lambda ls: _drop_key(ls, -1, "detail")),
+    ("theta stop deletion", lambda ls: _drop_key(ls, -1, "theta_stop")),
+    ("psi stop deletion", lambda ls: _drop_key(ls, -1, "psi_stop")),
+    ("caps extra key", lambda ls: _mutate(ls, 0, "caps", 0, subkey="extra")),
+    ("psi extra key", lambda ls: _mutate(ls, 1, "psi", 0, subkey="extra")),
+    ("header extra key", lambda ls: _mutate(ls, 0, "extra", 0)),
+    ("row extra key", lambda ls: _mutate(ls, 2, "extra", 0)),
+    ("outcome extra key", lambda ls: _mutate(ls, -1, "extra", 0)),
 ]
 
 
@@ -244,6 +257,24 @@ def test_single_field_tampering_is_rejected(certified_lines, label, mutate):
 
 def test_untampered_control(certified_lines):
     assert verify_trace(list(certified_lines)).ok
+
+
+def test_a_theta_stop_step_is_a_json_int():
+    # a term budget of 8 nodes stops theta evidence at step 0; the stop
+    # replays, but not with its step written as 0.0
+    with term_budgets(8):
+        lines = run("classic", 4, max_steps=5, certify="theta").trace_lines()
+        assert json.loads(lines[-1])["theta_stop"]["step"] == 0
+        assert verify_trace(lines).ok
+        report = verify_trace(_mutate(lines, -1, "theta_stop", 0.0, subkey="step"))
+    assert report.problems == ["theta_stop does not reproduce"]
+
+
+def test_other_caps_that_replay_the_same_rows_are_true_claims(certified_lines):
+    # the run terminates in 6 steps, well inside either cap: the trace is
+    # also the run under these caps, so the verifier accepts it
+    for key, value in (("bit_budget", 1 << 16), ("max_steps", 6), ("max_steps", 1000)):
+        assert verify_trace(_mutate(certified_lines, 0, "caps", value, subkey=key)).ok, key
 
 
 def test_trace_integers_are_canonical_hex():
