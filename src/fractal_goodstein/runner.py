@@ -6,38 +6,28 @@ step: a strictly decreasing theta certificate, and a psi witness chain whose
 integers realize fundamental-sequence entries.  The step loop exists once,
 in ``_Steps``: ``run`` collects it, and ``verify_trace`` replays it.
 
-Traces serialize to JSONL, with integers as bare lowercase hex strings
-(trace version 2).  The texts inside have one owner each: the header's
-hierarchy description is printed by ``spec_string`` and parsed by
-``successors.hierarchy_from_spec``, and each term column (theta, psi ``u``)
-by a ``CntPrinter`` of the ``trace_lines`` or ``verify_trace`` call, whose
-oracle is ``cnt_to_str``.  The verifier rebuilds the hierarchy from the
-header, replays the loop under the recorded caps alongside the trace, and
-rejects any row or ending that differs from the replay.  From the claimed
-terms alone it also checks that the theta chain strictly descends and that
-the psi chain links and stays at or below the value.
+Traces are JSONL, with integers as bare lowercase hex strings (trace
+version 2).  Each kind of line has one writer: ``_head_line``, ``_row_line``
+and ``_tail_line``.  ``RunResult.trace_lines`` calls them on a run, and
+``verify_trace`` on its replay, so a line verifies when it is the line run
+writes for the replayed run, compared as text.  The verifier parses the
+header to rebuild the hierarchy, seed and caps, a rejected line only to
+name the keys that differ, and never a term.
+On the replayed terms of the rows it accepts, it also checks that the theta
+chain strictly descends; ``_Steps`` itself checks that the psi chain links
+and stays at or below the value.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .hierarchy import DEFAULT_HORIZON
 from .interpretations import PsiInterpretation, ThetaReader, majorize_witness
 from .numerals import BitBudget, BudgetExceededError, superexp
-from .ordinal_terms import (
-    CntPrinter,
-    CntTerm,
-    OrdinalError,
-    as_cnt,
-    cnt_to_str,
-    compare_cnt,
-    fund_seq_cnt,
-    parse_term,
-)
+from .ordinal_terms import CntPrinter, CntTerm, OrdinalError, compare_cnt, fund_seq_cnt
 from .successors import DynamicalHierarchy, dynamical, hierarchy_from_spec
 
 __all__ = [
@@ -55,15 +45,7 @@ __all__ = [
 TRACE_FORMAT = "goodstein-trace"
 TRACE_VERSION = 2
 
-# the keys run writes; its values are compared as JSON text, where 1.0 is not 1
-_HEAD_KEYS = {"format", "version", "hierarchy", "seed", "caps"}
-_CAPS_KEYS = {"max_steps", "bit_budget", "certify"}
-_ROW_KEYS = {"i", "value", "base", "theta", "psi"}
-_TAIL_KEYS = {"outcome", "steps", "detail", "theta_stop", "psi_stop"}
-
 _CERT_ERRORS = (BudgetExceededError, OrdinalError, ValueError)
-# what checking a row can raise: a malformed row, or a replay that fails
-_ROW_ERRORS = _CERT_ERRORS + (AttributeError, KeyError, TypeError)
 
 
 def _int_str(v: int) -> str:
@@ -72,31 +54,9 @@ def _int_str(v: int) -> str:
     return format(v, "x")
 
 
-_HEX_INT = re.compile(r"0|[1-9a-f][0-9a-f]*")
-
-
 def _str_int(s: str) -> int:
-    # only the one string _int_str writes for a value is accepted
-    if not isinstance(s, str) or not _HEX_INT.fullmatch(s):
-        raise ValueError(f"not a canonical hex integer: {s!r:.40}")
+    # any reading will do: the header rebuilt from it must print as the line read
     return int(s, 16)
-
-
-def _parse_cnt(s: str) -> CntTerm:
-    # only the one string cnt_to_str writes for a term is accepted
-    c = as_cnt(parse_term(s))
-    if cnt_to_str(c) != s:
-        raise ValueError(f"not a canonical term: {s!r:.40}")
-    return c
-
-
-def _claimed_cnt(s: str, replayed: CntTerm | None, printer: CntPrinter) -> CntTerm:
-    # printing is injective (parse_term(term_to_str(t)) == t), so text equal to
-    # the replayed term's printing is canonical and names exactly that term;
-    # any other text is parsed
-    if replayed is not None and s == printer.text(replayed):
-        return replayed
-    return _parse_cnt(s)
 
 
 @dataclass
@@ -124,38 +84,49 @@ class RunResult:
     horizon: int = DEFAULT_HORIZON
 
     def trace_lines(self) -> list[str]:
-        caps = {
-            "max_steps": self.max_steps,
-            "bit_budget": self.bit_budget,
-            "certify": self.certify,
-        }
-        if self.horizon != DEFAULT_HORIZON:
-            caps["horizon"] = self.horizon
-        head = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "hierarchy": self.spec,
-            "seed": _int_str(self.seed),
-            "caps": caps,
-        }
-        lines = [json.dumps(head)]
+        head = _head_line(
+            self.spec, self.seed, self.certify, self.bit_budget, self.max_steps, self.horizon
+        )
         theta_text, u_text = CntPrinter().text, CntPrinter().text
-        for r in self.records:
-            row: dict = {"i": r.index, "value": _int_str(r.value), "base": r.base}
-            if r.theta is not None:
-                row["theta"] = theta_text(r.theta)
-            if r.psi_n is not None:
-                row["psi"] = {"n": _int_str(r.psi_n), "u": u_text(r.psi_u)}
-            lines.append(json.dumps(row))
-        tail = {
-            "outcome": self.outcome,
-            "steps": len(self.records),
-            "detail": self.detail,
-            "theta_stop": self.theta_stop,
-            "psi_stop": self.psi_stop,
-        }
-        lines.append(json.dumps(tail))
-        return lines
+        rows = [_row_line(r, theta_text, u_text) for r in self.records]
+        return [head, *rows, _tail_line(self, len(self.records))]
+
+
+def _head_line(
+    spec: str, seed: int, certify: str, bit_budget: int, max_steps: int | None, horizon: int
+) -> str:
+    caps = {"max_steps": max_steps, "bit_budget": bit_budget, "certify": certify}
+    if horizon != DEFAULT_HORIZON:
+        caps["horizon"] = horizon
+    head = {
+        "format": TRACE_FORMAT,
+        "version": TRACE_VERSION,
+        "hierarchy": spec,
+        "seed": _int_str(seed),
+        "caps": caps,
+    }
+    return json.dumps(head)
+
+
+def _row_line(r: StepRecord, theta_text: Callable, u_text: Callable) -> str:
+    """A step's row; each term column prints through its own CntPrinter's text."""
+    row: dict = {"i": r.index, "value": _int_str(r.value), "base": r.base}
+    if r.theta is not None:
+        row["theta"] = theta_text(r.theta)
+    if r.psi_n is not None:
+        row["psi"] = {"n": _int_str(r.psi_n), "u": u_text(r.psi_u)}
+    return json.dumps(row)
+
+
+def _tail_line(ending: RunResult | _Steps, steps: int) -> str:
+    tail = {
+        "outcome": ending.outcome,
+        "steps": steps,
+        "detail": ending.detail,
+        "theta_stop": ending.theta_stop,
+        "psi_stop": ending.psi_stop,
+    }
+    return json.dumps(tail)
 
 
 def write_trace(result: RunResult, out: IO[str]) -> None:
@@ -179,6 +150,13 @@ class _Steps:
 
     A death of the value column (bit budget or horizon) ends the run in
     one handler; evidence catches its own errors, deaths included.
+
+    Values do not depend on ``certify``.  Evidence materializes no base and
+    moves no frontier of a stage or successor the value column builds, so
+    values, the outcome and ``detail`` are the same in every mode.  It may
+    build more: on ``classic``, whose value column is closed-form, psi
+    evidence builds the step-0 successor, and its deep changes add entries
+    to the run's table of powers, each of them exact.
     """
 
     def __init__(
@@ -186,8 +164,8 @@ class _Steps:
     ) -> None:
         if certify not in ("theta", "psi", "both", "none"):
             raise ValueError(f"unknown certificate mode: {certify!r}")
-        if seed < 0:
-            raise ValueError("seeds are nonnegative")
+        if type(seed) is not int or seed < 0:
+            raise ValueError("seeds are nonnegative integers")
         if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
             raise ValueError("step caps are nonnegative integers")
         self.h = h
@@ -304,6 +282,8 @@ def run(
 
 @dataclass
 class VerifyReport:
+    """A verdict; ``outcome`` is the replayed run's, None if the replay did not end."""
+
     ok: bool
     problems: list[str]
     outcome: str | None = None
@@ -311,21 +291,22 @@ class VerifyReport:
 
 
 def verify_trace(source: str | Iterable[str]) -> VerifyReport:
-    """Replay the run a trace claims and report every deviation.
+    """Replay the run a trace claims and report every line that is not the line run writes.
 
-    source is a file path or an iterable of lines, read one line at a time.
-    The hierarchy is rebuilt from the header and the step loop of ``run`` is
-    replayed under the recorded caps, one step per row: every row must equal
-    its replayed step, and the outcome line the replayed ending (outcome,
-    death detail and both evidence stops, compared whole as JSON).  Header,
-    rows and outcome line carry the keys run writes and no others.  From
-    the claimed terms, the verifier also checks that the theta chain strictly
-    descends and that the psi chain links and stays at or below the value.
-    A claimed term is matched by its text against the canonical printing of
-    the replayed term, and parsed only on a mismatch.  That is sound because
-    printing is injective (``parse_term(term_to_str(t)) == t``): equal text
-    names the replayed term itself, and is canonical by definition.
-    The replay runs at most one step past the last row.
+    source is a file path or an iterable of lines, read one line at a time;
+    a line's ending is removed, and empty lines are skipped.  The header is
+    parsed only to rebuild the hierarchy, seed and caps, and must be the
+    header run writes for them.  The step loop of ``run`` is then replayed
+    under those caps, one step per row, and each row must be the row run
+    writes for its replayed step, terms printed by this call's own
+    CntPrinter pair; the outcome line must be the one run writes for the
+    replayed ending.  Every comparison is of text, so a line that is equal
+    as JSON but spelled otherwise (whitespace, key order, escapes) is
+    rejected, and no term is ever parsed.  A rejected line's problem names
+    each key whose JSON text differs.  On the replayed terms of the rows it
+    accepts, the verifier checks that the theta chain strictly descends.
+    The replay runs at most one step past the last row, and stops at a row
+    whose index or value differs: the rows after it tell of another run.
     """
     try:
         if isinstance(source, str):
@@ -338,12 +319,32 @@ def verify_trace(source: str | Iterable[str]) -> VerifyReport:
         return VerifyReport(False, [f"unreadable trace: {e}"])
 
 
+def _unlike(text: str, written: str, verb: str) -> tuple[str, set[str]]:
+    """How a line differs from the line run writes in its place, and the differing keys."""
+    claimed, ours = json.loads(text), json.loads(written)
+    if not isinstance(claimed, dict):
+        return "not a JSON object", set(ours)
+    # a key differs when it is missing on one side or its value's JSON text
+    # differs, key order inside that value aside
+    keys = [
+        k
+        for k in {**ours, **claimed}
+        if k not in claimed
+        or k not in ours
+        or json.dumps(claimed[k], sort_keys=True) != json.dumps(ours[k], sort_keys=True)
+    ]
+    if not keys:
+        return "equal as JSON to what run writes, but spelled otherwise", set()
+    return f"{', '.join(keys)} {'does' if len(keys) == 1 else 'do'} not {verb}", set(keys)
+
+
 def _verify_lines(lines: Iterable[str]) -> VerifyReport:
-    """verify_trace on lines; each column's own CntPrinter prints its replayed terms."""
-    docs = (json.loads(ln) for ln in lines if ln.strip())
-    head, row = next(docs, None), next(docs, None)
-    if row is None:
+    """verify_trace on lines."""
+    texts = (t for t in (ln.removesuffix("\n") for ln in lines) if t)
+    head_text, text = next(texts, None), next(texts, None)
+    if text is None:
         return VerifyReport(False, ["trace needs a header and an outcome line"])
+    head = json.loads(head_text)
     try:
         if head.get("format") != TRACE_FORMAT:
             return VerifyReport(False, ["not a recognized trace header"])
@@ -353,90 +354,49 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
                 "version 2 in hex; re-run to get a version 2 trace"
             )
             return VerifyReport(False, [problem])
-        if json.dumps(head.get("version")) != json.dumps(TRACE_VERSION):
-            return VerifyReport(False, ["not a recognized trace header"])
         caps = head["caps"]
-        if set(head) != _HEAD_KEYS or not _CAPS_KEYS <= set(caps) <= _CAPS_KEYS | {"horizon"}:
-            raise ValueError("its keys are not those a run writes")
-        if caps.get("horizon") == DEFAULT_HORIZON:
-            raise ValueError(f"a run leaves the default horizon {DEFAULT_HORIZON} out of its caps")
         horizon = caps.get("horizon", DEFAULT_HORIZON)
         h = hierarchy_from_spec(head["hierarchy"], BitBudget(caps["bit_budget"]), horizon)
-        if h.spec_string() != head["hierarchy"]:
-            raise ValueError(f"not a canonical hierarchy description: {head['hierarchy']!r:.40}")
         steps = _Steps(h, _str_int(head["seed"]), caps["certify"], caps["max_steps"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         return VerifyReport(False, [f"malformed header: {e}"])
+    written = _head_line(
+        h.spec_string(), steps.seed, steps.certify, h.budget.bits, steps.max_steps, h.horizon
+    )
+    if head_text != written:
+        return VerifyReport(False, [f"malformed header: {_unlike(head_text, written, 'reproduce')[0]}"])
     replay = iter(steps)
-    theta_printer, u_printer = CntPrinter(), CntPrinter()
+    theta_text, u_text = CntPrinter().text, CntPrinter().text
     problems: list[str] = []
     prev_theta: CntTerm | None = None
-    prev_psi: tuple[int, CntTerm] | None = None
 
-    def follow(row, pos: int) -> bool:
+    def follow(text: str, pos: int) -> bool:
         """Check one row against its replayed step; False once the replay cannot follow."""
-        nonlocal prev_theta, prev_psi
-        where = f"step {pos}"
-        rec = next(replay, None)
+        nonlocal prev_theta
+        try:
+            rec = next(replay, None)
+        except _CERT_ERRORS as e:
+            problems.append(f"step {pos}: recomputation failed: {e}")
+            return False
         if rec is None:
-            problems.append(f"{where}: trace continues past the end of the run")
+            problems.append(f"step {pos}: trace continues past the end of the run")
             return False
-        if type(row.get("i")) is not int or row["i"] != pos:
-            problems.append(f"{where}: index {row.get('i')} out of order")
-            return False
-        if not set(row) <= _ROW_KEYS or "psi" in row and set(row["psi"]) != {"n", "u"}:
-            problems.append(f"{where}: keys are not those a run writes")
-        value = _str_int(row["value"])
-        if value != rec.value:
-            problems.append(f"{where}: value does not recompute")
-            return False
-        if type(row.get("base")) is not int or row["base"] != rec.base:
-            problems.append(f"{where}: base does not recompute")
-        theta = _claimed_cnt(row["theta"], rec.theta, theta_printer) if "theta" in row else None
-        if theta != rec.theta:
-            problems.append(f"{where}: theta certificate does not recompute")
-        if theta is not None:
-            if prev_theta is not None:
-                try:
-                    descends = compare_cnt(theta, prev_theta) < 0
-                except OrdinalError:  # a claimed term of the other flavor
-                    descends = False
-                if not descends:
-                    problems.append(f"{where}: theta certificate fails to decrease")
-            prev_theta = theta
-        n = u = None
-        if "psi" in row:
-            n, u = _str_int(row["psi"]["n"]), _claimed_cnt(row["psi"]["u"], rec.psi_u, u_printer)
-        if (n, u) != (rec.psi_n, rec.psi_u):
-            problems.append(f"{where}: psi witness does not recompute")
-        if n is not None:
-            if n > value:
-                problems.append(f"{where}: psi witness exceeds the value")
-            if prev_psi is not None:
-                try:
-                    linked = prev_psi[0] == pos - 1 and fund_seq_cnt(prev_psi[1], pos) == u
-                except OrdinalError:  # a claimed term of the other flavor
-                    linked = False
-                if not linked:
-                    problems.append(f"{where}: psi witness chain broken")
-            prev_psi = (pos, u)
+        written = _row_line(rec, theta_text, u_text)
+        if text != written:
+            problem, keys = _unlike(text, written, "recompute")
+            problems.append(f"step {pos}: {problem}")
+            return not keys & {"i", "value"}
+        if rec.theta is not None:
+            if prev_theta is not None and compare_cnt(rec.theta, prev_theta) >= 0:
+                problems.append(f"step {pos}: theta certificate fails to decrease")
+            prev_theta = rec.theta
         return True
 
     pos, live = 0, True
-    for nxt in docs:
-        if live:
-            try:
-                live = follow(row, pos)
-            except _ROW_ERRORS as e:
-                problems.append(f"step {pos}: recomputation failed: {e}")
-                live = False
+    for nxt in texts:
+        live = live and follow(text, pos)
         pos += 1
-        row = nxt
-    tail = row if isinstance(row, dict) else {}
-    if set(tail) != _TAIL_KEYS:
-        problems.append("outcome line keys are not those a run writes")
-    if type(tail.get("steps")) is not int or tail["steps"] != pos:
-        problems.append(f"outcome line claims {tail.get('steps')} steps, trace has {pos}")
+        text = nxt
     if live:
         try:
             extra = next(replay, None)
@@ -445,13 +405,9 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         else:
             if extra is not None:
                 problems.append(f"step {pos}: the run goes on past the end of the trace")
-            else:
-                problems.extend(
-                    f"{key} does not reproduce"
-                    for key in ("outcome", "detail", "theta_stop", "psi_stop")
-                    if json.dumps(tail.get(key)) != json.dumps(getattr(steps, key))
-                )
-    return VerifyReport(not problems, problems, tail.get("outcome"), pos)
+            elif text != (written := _tail_line(steps, pos)):
+                problems.append(f"outcome line: {_unlike(text, written, 'reproduce')[0]}")
+    return VerifyReport(not problems, problems, steps.outcome, pos)
 
 
 @dataclass

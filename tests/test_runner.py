@@ -1,13 +1,16 @@
 """End-to-end runs, trace verification, tampering, and the witness chain."""
 
 import functools
+import itertools
 import json
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractal_goodstein import ordinal_terms
 from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
+from fractal_goodstein.interpretations import ThetaReader
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import as_cnt, lift, parse_term, term_to_str
 from fractal_goodstein.runner import lower_bound_chain, run, verify_trace, write_trace
@@ -128,6 +131,16 @@ def test_a_bad_witness_stops_psi_evidence_and_nothing_else(monkeypatch, witness,
     assert r.psi_stop == {"step": 1, "reason": reason}
     assert [rec.value for rec in r.records] == values
     assert verify_trace(r.trace_lines()).ok
+
+
+def test_a_certificate_that_fails_to_decrease_is_reported(monkeypatch):
+    # the verifier replays the run's own reader, so a wrong reading would
+    # recompute; the descent check on the replayed terms is what catches it
+    first = run("classic", 3, certify="theta").records[0].theta
+    monkeypatch.setattr(ThetaReader, "value", lambda self, stage, n: first)
+    assert verify_trace(run("classic", 3, certify="theta").trace_lines()).problems == [
+        f"step {i}: theta certificate fails to decrease" for i in range(1, 6)
+    ]
 
 
 def test_trace_file_round_trip(tmp_path):
@@ -267,7 +280,7 @@ def test_a_theta_stop_step_is_a_json_int():
         assert json.loads(lines[-1])["theta_stop"]["step"] == 0
         assert verify_trace(lines).ok
         report = verify_trace(_mutate(lines, -1, "theta_stop", 0.0, subkey="step"))
-    assert report.problems == ["theta_stop does not reproduce"]
+    assert report.problems == ["outcome line: theta_stop does not reproduce"]
 
 
 def test_other_caps_that_replay_the_same_rows_are_true_claims(certified_lines):
@@ -277,6 +290,137 @@ def test_other_caps_that_replay_the_same_rows_are_true_claims(certified_lines):
         assert verify_trace(_mutate(certified_lines, 0, "caps", value, subkey=key)).ok, key
 
 
+# short traces of every kind, each with a stop, a death or a capped ending
+_MUTATED_RUNS = [
+    ("classic", 3, None, "both", None),
+    ("classic", 4, 4, "theta", None),
+    ("ouroboros", 3, None, "both", None),
+    ("plus-chain: 2,6", 12, 3, "both", None),
+    ("diagonal", 2, None, "both", None),
+    ("finite-for: 3", 2, None, "both", None),
+    ("finite-for: 4", 4, None, "psi", 3),
+]
+
+
+def _leaf_mutations(v):
+    """±1, a sign flip, type swaps and string edits of one JSON value."""
+    if isinstance(v, int):
+        return [v + 1, v - 1, -v - (v == 0), str(v), float(v), None, True]
+    if isinstance(v, str):
+        edits = [v + "0", v[:-1], v.upper(), " " + v, v + " ", v[1:] + v[:1], "-" + v]
+        swaps = [None, 0, 1.5]
+        if all(c in "0123456789abcdef" for c in v):  # a hex integer
+            n = int(v, 16)
+            edits += [format(n + 1, "x"), format(abs(n - 1), "x")]
+            swaps.append(n)
+        return edits + swaps
+    return [0, "", False, {}, []]  # None
+
+
+def _mutations(doc, path=()):
+    """(path, doc) for each single-field mutation of a JSON object: every
+    leaf's value mutations, an extra key in every object, and each key deleted."""
+    yield path + ("extra",), {**doc, "extra": 0}
+    for k, v in doc.items():
+        yield path + (k, "deleted"), {kk: vv for kk, vv in doc.items() if kk != k}
+        subs = _mutations(v, path + (k,)) if isinstance(v, dict) else (
+            (path + (k,), m) for m in _leaf_mutations(v)
+        )
+        for sub_path, sub in subs:
+            yield sub_path, {**doc, k: sub}
+
+
+def _run_for_header(head, rows):
+    """The trace run writes for what a header claims, if it has at most rows rows.
+
+    A run the header leaves uncapped, or capped past rows, runs only to
+    step rows: if it reaches it, it is longer than the trace."""
+    try:
+        caps = head["caps"]
+        cap = caps["max_steps"]
+        r = run(
+            head["hierarchy"],
+            int(head["seed"], 16),
+            max_steps=rows if cap is None or type(cap) is int and cap > rows else cap,
+            budget=BitBudget(caps["bit_budget"]),
+            certify=caps["certify"],
+            horizon=caps.get("horizon"),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    if len(r.records) > rows:
+        return None
+    r.max_steps = cap
+    return r.trace_lines()
+
+
+def test_every_single_field_mutation_is_rejected_unless_run_writes_it():
+    # a mutated row or outcome line is never the line run writes; a mutated
+    # header is accepted exactly when run writes the same rows under its
+    # claims: a bit budget or step cap that never binds here, or (at horizon
+    # 3) a finite-for bound that the horizon death comes before
+    accepted, count = set(), 0
+    for spec, seed, max_steps, certify, horizon in _MUTATED_RUNS:
+        lines = run(spec, seed, max_steps=max_steps, certify=certify, horizon=horizon).trace_lines()
+        assert verify_trace(lines).ok
+        for at, line in enumerate(lines):
+            for path, doc in _mutations(json.loads(line)):
+                forged = lines[:at] + [json.dumps(doc)] + lines[at + 1 :]
+                if forged == lines:
+                    continue
+                count += 1
+                written = at == 0 and _run_for_header(doc, len(lines) - 2) == forged
+                assert verify_trace(forged).ok == written, (spec, at, path, forged[at])
+                if written:
+                    accepted.add(path)
+    assert count >= 2_000
+    assert ("caps", "bit_budget") in accepted
+    assert accepted <= {("caps", "bit_budget"), ("caps", "max_steps"), ("hierarchy",)}
+
+
+@pytest.mark.parametrize(
+    "at, respell",
+    [
+        (0, lambda ln: json.dumps(json.loads(ln), separators=(",", ":"))),
+        (0, lambda ln: json.dumps(json.loads(ln), sort_keys=True)),
+        (0, lambda ln: ln.replace('"classic"', '"cl\\u0061ssic"')),
+        (2, lambda ln: ln + " "),
+        (2, lambda ln: json.dumps(json.loads(ln), indent=1).replace("\n", "")),
+        (2, lambda ln: json.dumps(dict(reversed(json.loads(ln).items())))),
+        (2, lambda ln: ln.replace('"v(', '"\\u0076(')),
+        (-1, lambda ln: ln.replace(", ", ",")),
+        (-1, lambda ln: json.dumps(json.loads(ln), sort_keys=True)),
+        (-1, lambda ln: ln.replace("index", "\\u0069ndex")),
+    ],
+    ids=[
+        "header separators",
+        "header key order",
+        "header escape",
+        "row trailing space",
+        "row indent",
+        "row key order",
+        "row escape",
+        "outcome separators",
+        "outcome key order",
+        "outcome escape",
+    ],
+)
+def test_a_line_equal_as_json_but_spelled_otherwise_is_rejected(certified_lines, at, respell):
+    lines = list(certified_lines)
+    lines[at] = respell(lines[at])
+    assert json.loads(lines[at]) == json.loads(certified_lines[at])
+    assert lines[at] != certified_lines[at]
+    report = verify_trace(lines)
+    assert not report.ok
+    assert report.problems[0].endswith("equal as JSON to what run writes, but spelled otherwise")
+
+
+def test_a_seed_is_an_int():
+    for seed in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match="seeds are nonnegative integers"):
+            run("classic", seed)
+
+
 def test_trace_integers_are_canonical_hex():
     lines = run("classic", 4, max_steps=3, certify="none").trace_lines()
     assert json.loads(lines[2])["value"] == "1a"  # 26
@@ -284,16 +428,16 @@ def test_trace_integers_are_canonical_hex():
     for spelling in ("1A", "0x1a", "01a", "1_a", "+1a", " 1a", 26):
         report = verify_trace(_mutate(lines, 2, "value", spelling))
         assert not report.ok, spelling
-        assert "not a canonical hex integer" in report.problems[0], spelling
+        assert report.problems == ["step 1: value does not recompute"], spelling
 
 
 @pytest.mark.parametrize(
     "row, key, value, problem",
     [
         (1, "base", 2.0, "step 0: base does not recompute"),
-        (2, "i", True, "step 1: index True out of order"),
-        (3, "i", 2.0, "step 2: index 2.0 out of order"),
-        (-1, "steps", 6.0, "outcome line claims 6.0 steps, trace has 6"),
+        (2, "i", True, "step 1: i does not recompute"),
+        (3, "i", 2.0, "step 2: i does not recompute"),
+        (-1, "steps", 6.0, "outcome line: steps does not reproduce"),
     ],
     ids=["base float", "index true", "index float", "steps float"],
 )
@@ -312,63 +456,64 @@ def test_trace_terms_are_canonical():
         assert as_cnt(parse_term(spelling)) == as_cnt(parse_term(theta)), spelling
         report = verify_trace(_mutate(lines, 3, "theta", spelling))
         assert not report.ok, spelling
-        assert "not a canonical term" in report.problems[0], spelling
+        assert report.problems == ["step 2: theta does not recompute"], spelling
+
+
+@pytest.fixture
+def no_parse(monkeypatch):
+    """Make any parse of a term fail the test, whichever name it is reached by."""
+
+    def refuse(self, text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(ordinal_terms._Parser, "__init__", refuse)
 
 
 @pytest.mark.parametrize(
     "spec,seed,psi_rows",
     [("classic", 3, 2), ("ouroboros", 3, 6), ("finite-for: 3", 2, 4)],
 )
-def test_replayed_terms_are_matched_without_parsing(monkeypatch, spec, seed, psi_rows):
-    # text equal to the replayed term's printing needs no parse
+def test_replayed_terms_are_matched_without_parsing(no_parse, spec, seed, psi_rows):
+    # a row is checked by printing the replayed terms, never by reading the claimed ones
     r = run(spec, seed, certify="both")
     assert r.outcome == "terminated"
     assert all(rec.theta is not None for rec in r.records)
     assert sum(rec.psi_u is not None for rec in r.records) == psi_rows
-
-    def no_parse(text):
-        raise AssertionError(f"parsed {text!r}")
-
-    monkeypatch.setattr("fractal_goodstein.ordinal_terms.parse_term", no_parse)
-    monkeypatch.setattr("fractal_goodstein.runner.parse_term", no_parse)
     assert verify_trace(r.trace_lines()).ok
 
 
+def test_verify_parses_no_term_of_a_tampered_or_untampered_trace(no_parse, certified_lines):
+    assert verify_trace(list(certified_lines)).ok
+    for label, mutate in TAMPERINGS:
+        assert not verify_trace(mutate(list(certified_lines))).ok, label
+
+
 def test_a_canonical_but_wrong_term_is_still_checked():
-    # the claimed term differs from the replay, so it is parsed, and the
-    # descent and linkage checks run on it and not on the replayed term
+    # a term that prints canonically but is not the replayed one is no
+    # longer read at all: its row is not the row run writes, and the rows
+    # after it still replay
     lines = run("classic", 3, certify="both").trace_lines()
     forged = _mutate(lines, 3, "theta", json.loads(lines[2])["theta"])
-    assert verify_trace(forged).problems == [
-        "step 2: theta certificate does not recompute",
-        "step 2: theta certificate fails to decrease",
-    ]
+    assert verify_trace(forged).problems == ["step 2: theta does not recompute"]
     lines = run("ouroboros", 3, certify="both").trace_lines()
     forged = _mutate(lines, 4, "psi", json.loads(lines[5])["psi"]["u"], subkey="u")
-    assert verify_trace(forged).problems == [
-        "step 3: psi witness does not recompute",
-        "step 3: psi witness chain broken",
-    ]
+    assert verify_trace(forged).problems == ["step 3: psi does not recompute"]
 
 
-def test_a_claimed_theta_of_the_wrong_flavor_fails_its_descent_check():
-    # the p-collapse cannot be ordered against the v-chain: that is no
-    # descent, and the replay goes on to the rows after it
+def test_a_claimed_theta_of_the_wrong_flavor_is_a_row_that_does_not_recompute():
+    # the p-collapse is not the replayed v-collapse; the descent check runs
+    # on the replayed terms, so the rows after it still verify
     lines = run("classic", 4, max_steps=6, certify="theta").trace_lines()
     assert verify_trace(_mutate(lines, 3, "theta", "p(W^2*1)")).problems == [
-        "step 2: theta certificate does not recompute",
-        "step 2: theta certificate fails to decrease",
-        "step 3: theta certificate fails to decrease",
+        "step 2: theta does not recompute",
     ]
 
 
-def test_a_claimed_witness_of_the_wrong_flavor_breaks_the_chain():
-    # a v-collapse has no fundamental sequence to link the next witness to
+def test_a_claimed_witness_of_the_wrong_flavor_is_a_row_that_does_not_recompute():
+    # the replay's own chain links: only the tampered row is rejected
     lines = run("ouroboros", 3, max_steps=6, certify="both").trace_lines()
     assert verify_trace(_mutate(lines, 2, "psi", "v(W^1*1)", subkey="u")).problems == [
-        "step 1: psi witness does not recompute",
-        "step 1: psi witness chain broken",
-        "step 2: psi witness chain broken",
+        "step 1: psi does not recompute",
     ]
 
 
@@ -526,8 +671,16 @@ def test_a_replay_that_fails_one_step_past_the_trace_is_reported():
     report = verify_trace(forged)
     assert not report.ok
     assert report.problems == [
-        "outcome line claims 4 steps, trace has 0",
         "step 0: recomputation failed: value exceeds the stage-0 bound 3",
+    ]
+
+
+def test_a_deleted_row_ends_the_comparison():
+    # the rows after a row of another index or value tell of another run,
+    # so the 37 rows after the gap add no problem of their own
+    lines = run("classic", 4, max_steps=40, certify="both").trace_lines()
+    assert verify_trace(lines[:3] + lines[4:]).problems == [
+        "step 2: i, value, base, theta do not recompute"
     ]
 
 
@@ -780,24 +933,48 @@ def test_cli_interp_prints_a_value_at_the_node_budget(capsys):
     assert as_cnt(parse_term(out)).size == 40
 
 
-CERTIFY_SPECS = ["classic", "plus-chain: 2,6", "finite-for: 3", "ouroboros", "diagonal", "finite: 3,12"]
+CERTIFY_SPECS = [
+    "classic",
+    "ouroboros",
+    "diagonal",
+    "finite-for: 3",
+    "finite-for: 4",
+    "finite-for: 5",
+    "plus-chain: 2,6",
+    "plus-chain: 3,12",
+]
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from(CERTIFY_SPECS),
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=8, max_value=4096),
-    st.integers(min_value=2, max_value=16) | st.just(512),
-)
-def test_values_do_not_depend_on_the_certify_mode(spec, seed, bits, horizon):
+def _built(h, count):
+    """The first count stages and successors of h: their bases, and each successor's frontier."""
+    stages = [s.known_elements() for s in h._stages[: count[0]]]
+    return stages, [(p.known_elements(), p._frontier) for p in h._plus[: count[1]]]
+
+
+@pytest.mark.parametrize("spec", CERTIFY_SPECS)
+def test_values_do_not_depend_on_the_certify_mode(spec):
     # evidence can die inside a successor that the value column goes on to
-    # use, on the budget or on the horizon (both end as budget_exceeded)
-    def ending(certify):
-        try:
-            r = run(spec, seed, max_steps=40, budget=BitBudget(bits), certify=certify, horizon=horizon)
-        except ValueError as e:  # a seed above the first stage's bound
-            return str(e)
-        return [rec.value for rec in r.records], r.outcome, r.detail
-
-    assert ending("none") == ending("both")
+    # use, on the budget or on the horizon (both end as budget_exceeded); it
+    # may build further than the value column (on classic, psi builds the
+    # step-0 successor the closed-form values never use), but not otherwise
+    # than it.  The run's table of powers may differ in which entries it
+    # holds, since evidence's deep changes add and pop entries too, but not
+    # in any entry's value: each is exact
+    for seed, bits, horizon in itertools.product(
+        range(9), (8, 64, 512, 4096, 1 << 16), (2, 3, 4, 8, 16, 512)
+    ):
+        seen = {}
+        for certify in ("none", "both"):
+            h = hierarchy_from_spec(spec, BitBudget(bits), horizon)
+            try:
+                r = run(h, seed, max_steps=40, certify=certify)
+            except ValueError as e:  # a seed above the first stage's bound
+                seen[certify] = str(e), h
+            else:
+                seen[certify] = ([rec.value for rec in r.records], r.outcome, r.detail), h
+            assert all(v == b**k for (b, k), v in h._powers.items())
+        (values, h_none), (both_values, h_both) = seen["none"], seen["both"]
+        where = (seed, bits, horizon)
+        assert values == both_values, where
+        count = len(h_none._stages), len(h_none._plus)
+        assert _built(h_none, count) == _built(h_both, count), where
