@@ -38,6 +38,15 @@ def _check_horizon(horizon: object) -> int:
     return horizon
 
 
+def _check_count(n: object, negative: str) -> int:
+    """n, when it is a nonnegative int (a bool is not); ``negative`` is the text for n < 0."""
+    if type(n) is not int:
+        raise ValueError(f"a count is a nonnegative int, not {type(n).__name__} {n!r:.40}")
+    if n < 0:
+        raise ValueError(negative)
+    return n
+
+
 def _check_increasing(prev: int, cur: int) -> None:
     if cur <= prev:
         raise ValueError(

@@ -7,12 +7,11 @@ integers realize fundamental-sequence entries.  The step loop exists once,
 in ``_Steps``: ``run`` collects it, and ``verify_trace`` replays it.
 
 Traces are JSONL, with integers as bare lowercase hex strings (trace
-version 2).  Each kind of line has one writer: ``_head_line``, ``_row_line``
-and ``_tail_line``.  ``RunResult.trace_lines`` calls them on a run, and
-``verify_trace`` on its replay, so a line verifies when it is the line run
-writes for the replayed run, compared as text.  The verifier parses the
-header to rebuild the hierarchy, seed and caps, a rejected line only to
-name the keys that differ, and never a term.
+version 2).  One generator, ``_trace``, writes them: ``RunResult.trace_lines``
+collects it for a run, and ``verify_trace`` walks it for the replay of the
+run a trace claims, comparing the trace with it line by line, as text.
+The verifier parses the header to rebuild the hierarchy, seed and caps, a
+rejected line only to name the keys that differ, and never a term.
 On the replayed terms of the rows it accepts, it also checks that the theta
 chain strictly descends; ``_Steps`` itself checks that the psi chain links
 and stays at or below the value.
@@ -22,9 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator
+from itertools import chain, pairwise
+from typing import IO, Iterable, Iterator
 
-from .hierarchy import DEFAULT_HORIZON
+from .hierarchy import DEFAULT_HORIZON, _check_count
 from .interpretations import PsiInterpretation, ThetaReader, majorize_witness
 from .numerals import BitBudget, BudgetExceededError, superexp
 from .ordinal_terms import CntPrinter, CntTerm, OrdinalError, compare_cnt, fund_seq_cnt
@@ -84,49 +84,49 @@ class RunResult:
     horizon: int = DEFAULT_HORIZON
 
     def trace_lines(self) -> list[str]:
-        head = _head_line(
-            self.spec, self.seed, self.certify, self.bit_budget, self.max_steps, self.horizon
-        )
-        theta_text, u_text = CntPrinter().text, CntPrinter().text
-        rows = [_row_line(r, theta_text, u_text) for r in self.records]
-        return [head, *rows, _tail_line(self, len(self.records))]
+        return [line for line, _ in _trace(self, self.records)]
 
 
-def _head_line(
-    spec: str, seed: int, certify: str, bit_budget: int, max_steps: int | None, horizon: int
-) -> str:
-    caps = {"max_steps": max_steps, "bit_budget": bit_budget, "certify": certify}
-    if horizon != DEFAULT_HORIZON:
-        caps["horizon"] = horizon
+def _trace(
+    run: RunResult | _Steps, records: Iterable[StepRecord]
+) -> Iterator[tuple[str, StepRecord | None]]:
+    """Each line ``run`` writes, with its record: the header, a row per record, the outcome line.
+
+    The header and outcome line pair with None; each term column prints
+    through its own CntPrinter.  The ending is read from ``run`` only once
+    ``records`` run out, so a replay can stand for both.
+    """
+    caps = {"max_steps": run.max_steps, "bit_budget": run.bit_budget, "certify": run.certify}
+    if run.horizon != DEFAULT_HORIZON:
+        caps["horizon"] = run.horizon
     head = {
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
-        "hierarchy": spec,
-        "seed": _int_str(seed),
+        "hierarchy": run.spec,
+        "seed": _int_str(run.seed),
         "caps": caps,
     }
-    return json.dumps(head)
-
-
-def _row_line(r: StepRecord, theta_text: Callable, u_text: Callable) -> str:
-    """A step's row; each term column prints through its own CntPrinter's text."""
-    row: dict = {"i": r.index, "value": _int_str(r.value), "base": r.base}
-    if r.theta is not None:
-        row["theta"] = theta_text(r.theta)
-    if r.psi_n is not None:
-        row["psi"] = {"n": _int_str(r.psi_n), "u": u_text(r.psi_u)}
-    return json.dumps(row)
-
-
-def _tail_line(ending: RunResult | _Steps, steps: int) -> str:
+    yield json.dumps(head), None
+    theta_text, u_text = CntPrinter().text, CntPrinter().text
+    steps = 0
+    for r in records:
+        # json.dumps's row, with each hex text copied into the line alone, not also quoted
+        theta = psi = ""
+        if r.theta is not None:
+            theta = f', "theta": {json.dumps(theta_text(r.theta))}'
+        if r.psi_n is not None:
+            u = json.dumps(u_text(r.psi_u))
+            psi = f', "psi": {{"n": "{_int_str(r.psi_n)}", "u": {u}}}'
+        yield f'{{"i": {r.index}, "value": "{_int_str(r.value)}", "base": {r.base}{theta}{psi}}}', r
+        steps += 1
     tail = {
-        "outcome": ending.outcome,
+        "outcome": run.outcome,
         "steps": steps,
-        "detail": ending.detail,
-        "theta_stop": ending.theta_stop,
-        "psi_stop": ending.psi_stop,
+        "detail": run.detail,
+        "theta_stop": run.theta_stop,
+        "psi_stop": run.psi_stop,
     }
-    return json.dumps(tail)
+    yield json.dumps(tail), None
 
 
 def write_trace(result: RunResult, out: IO[str]) -> None:
@@ -140,7 +140,8 @@ class _Steps:
     Iterating yields one StepRecord per step, with the evidence ``certify``
     asks for.  Evidence that fails is recorded as a stop and never ends the
     value sequence.  Once the iteration is exhausted, ``outcome``,
-    ``detail``, ``theta_stop`` and ``psi_stop`` say how the run ended.
+    ``detail``, ``theta_stop`` and ``psi_stop`` say how the run ended; they,
+    the spec, seed and caps bear a RunResult's names, for ``_trace``.
 
     Every run reads its theta certificates through one ThetaReader, fed
     the consecutive steps of this run only, from step 0 until the reading
@@ -169,9 +170,12 @@ class _Steps:
         if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
             raise ValueError("step caps are nonnegative integers")
         self.h = h
+        self.spec = h.spec_string()
         self.seed = seed
         self.certify = certify
+        self.bit_budget = h.budget.bits
         self.max_steps = max_steps
+        self.horizon = h.horizon
         self.outcome: str | None = None
         self.detail: str | None = None
         self.theta_stop: dict | None = None
@@ -266,17 +270,17 @@ def run(
     steps = _Steps(h, seed, certify, max_steps)
     records = list(steps)
     return RunResult(
-        spec=h.spec_string(),
+        spec=steps.spec,
         seed=seed,
         certify=certify,
-        bit_budget=h.budget.bits,
+        bit_budget=steps.bit_budget,
         max_steps=max_steps,
         records=records,
         outcome=steps.outcome,
         detail=steps.detail,
         theta_stop=steps.theta_stop,
         psi_stop=steps.psi_stop,
-        horizon=h.horizon,
+        horizon=steps.horizon,
     )
 
 
@@ -295,18 +299,14 @@ def verify_trace(source: str | Iterable[str]) -> VerifyReport:
 
     source is a file path or an iterable of lines, read one line at a time;
     a line's ending is removed, and empty lines are skipped.  The header is
-    parsed only to rebuild the hierarchy, seed and caps, and must be the
-    header run writes for them.  The step loop of ``run`` is then replayed
-    under those caps, one step per row, and each row must be the row run
-    writes for its replayed step, terms printed by this call's own
-    CntPrinter pair; the outcome line must be the one run writes for the
-    replayed ending.  Every comparison is of text, so a line that is equal
-    as JSON but spelled otherwise (whitespace, key order, escapes) is
-    rejected, and no term is ever parsed.  A rejected line's problem names
-    each key whose JSON text differs.  On the replayed terms of the rows it
-    accepts, the verifier checks that the theta chain strictly descends.
-    The replay runs at most one step past the last row, and stops at a row
-    whose index or value differs: the rows after it tell of another run.
+    parsed only to rebuild the hierarchy, seed and caps; then each line is
+    compared, as text, with the next line ``_trace`` writes for the replayed
+    run, so no term is parsed and a line equal as JSON but spelled otherwise
+    is rejected.  A rejected line's problem names each key whose JSON text
+    differs.  On the replayed terms of the rows it accepts, the verifier
+    checks that the theta chain strictly descends.  The replay runs at most
+    one step past the last row, and stops at a row whose index or value
+    differs: the rows after it tell of another run.
     """
     try:
         if isinstance(source, str):
@@ -360,53 +360,38 @@ def _verify_lines(lines: Iterable[str]) -> VerifyReport:
         steps = _Steps(h, _str_int(head["seed"]), caps["certify"], caps["max_steps"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         return VerifyReport(False, [f"malformed header: {e}"])
-    written = _head_line(
-        h.spec_string(), steps.seed, steps.certify, h.budget.bits, steps.max_steps, h.horizon
-    )
+    writer = _trace(steps, steps)
+    written = next(writer)[0]
     if head_text != written:
         return VerifyReport(False, [f"malformed header: {_unlike(head_text, written, 'reproduce')[0]}"])
-    replay = iter(steps)
-    theta_text, u_text = CntPrinter().text, CntPrinter().text
     problems: list[str] = []
     prev_theta: CntTerm | None = None
-
-    def follow(text: str, pos: int) -> bool:
-        """Check one row against its replayed step; False once the replay cannot follow."""
-        nonlocal prev_theta
+    # each line read meets the next line written; the writer has none left
+    # once the replay fails or ends, or a row tells of another run
+    for pos, (text, after) in enumerate(pairwise(chain([text], texts, [None]))):
         try:
-            rec = next(replay, None)
+            written, rec = next(writer, (None, None))
         except _CERT_ERRORS as e:
             problems.append(f"step {pos}: recomputation failed: {e}")
-            return False
-        if rec is None:
+            continue
+        if written is None:
+            continue
+        if after is None:  # the outcome line read
+            if rec is not None:
+                problems.append(f"step {pos}: the run goes on past the end of the trace")
+            elif text != written:
+                problems.append(f"outcome line: {_unlike(text, written, 'reproduce')[0]}")
+        elif rec is None:
             problems.append(f"step {pos}: trace continues past the end of the run")
-            return False
-        written = _row_line(rec, theta_text, u_text)
-        if text != written:
+        elif text != written:
             problem, keys = _unlike(text, written, "recompute")
             problems.append(f"step {pos}: {problem}")
-            return not keys & {"i", "value"}
-        if rec.theta is not None:
+            if keys & {"i", "value"}:
+                writer.close()  # the rows after it tell of another run
+        elif rec.theta is not None:
             if prev_theta is not None and compare_cnt(rec.theta, prev_theta) >= 0:
                 problems.append(f"step {pos}: theta certificate fails to decrease")
             prev_theta = rec.theta
-        return True
-
-    pos, live = 0, True
-    for nxt in texts:
-        live = live and follow(text, pos)
-        pos += 1
-        text = nxt
-    if live:
-        try:
-            extra = next(replay, None)
-        except _CERT_ERRORS as e:
-            problems.append(f"step {pos}: recomputation failed: {e}")
-        else:
-            if extra is not None:
-                problems.append(f"step {pos}: the run goes on past the end of the trace")
-            elif text != (written := _tail_line(steps, pos)):
-                problems.append(f"outcome line: {_unlike(text, written, 'reproduce')[0]}")
     return VerifyReport(not problems, problems, steps.outcome, pos)
 
 
@@ -449,8 +434,8 @@ def lower_bound_chain(
     run_cap: int = 64,
 ) -> ChainReport:
     """Witness chain for the tower seed over the self-feeding hierarchy."""
-    if k < 0:
-        raise ValueError("chain depth must be nonnegative")
+    _check_count(k, "chain depth must be nonnegative")
+    _check_count(run_cap, "the run cap cannot be negative")
     budget = budget or BitBudget()
     oh = dynamical("ouroboros", budget=budget, horizon=horizon)
     try:

@@ -23,6 +23,7 @@ from .hierarchy import (
     DEFAULT_HORIZON,
     FiniteHierarchy,
     Hierarchy,
+    _check_count,
     _check_horizon,
     _check_increasing,
     _coerce,
@@ -71,10 +72,8 @@ class PlusHierarchy(Hierarchy):
         horizon: int = DEFAULT_HORIZON,
         powers: Powers | None = None,
     ) -> None:
-        if index < 0:
-            raise ValueError("successor index cannot be negative")
+        self.index = _check_count(index, "successor index cannot be negative")
         self.base = _coerce(base)
-        self.index = index
         self.budget = budget
         self._hor = _check_horizon(horizon)
         self._powers = powers
@@ -426,10 +425,8 @@ class FiniteForHierarchy(DynamicalHierarchy):
         budget: BitBudget = DEFAULT_BUDGET,
         horizon: int = DEFAULT_HORIZON,
     ) -> None:
-        if m < 0:
-            raise ValueError("the bound seed cannot be negative")
+        self.m = _check_count(m, "the bound seed cannot be negative")
         super().__init__(budget, horizon)
-        self.m = m
         self._ks: list[int] = [m]
 
     def spec_string(self) -> str:

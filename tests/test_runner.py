@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,21 @@ from fractal_goodstein.cli import DEFAULT_MAX_STEPS, DEFAULT_STEPDOWN_LIMIT
 from fractal_goodstein.interpretations import ThetaReader
 from fractal_goodstein.numerals import BitBudget
 from fractal_goodstein.ordinal_terms import as_cnt, lift, parse_term, term_to_str
-from fractal_goodstein.runner import lower_bound_chain, run, verify_trace, write_trace
+from fractal_goodstein.runner import (
+    RunResult,
+    StepRecord,
+    lower_bound_chain,
+    run,
+    verify_trace,
+    write_trace,
+)
 from fractal_goodstein.successors import (
     ClassicHierarchy,
     DiagonalHierarchy,
     FiniteForHierarchy,
     OuroborosHierarchy,
     PlusChainHierarchy,
+    PlusHierarchy,
     hierarchy_from_spec,
     static_hierarchy_from_spec,
 )
@@ -421,6 +430,27 @@ def test_a_seed_is_an_int():
             run("classic", seed)
 
 
+_COUNTS = {
+    "finite-for bound seed": (FiniteForHierarchy, "the bound seed cannot be negative"),
+    "successor index": (lambda i: PlusHierarchy([2, 6], i), "successor index cannot be negative"),
+    "chain depth": (lower_bound_chain, "chain depth must be nonnegative"),
+    "run cap": (lambda n: lower_bound_chain(0, run_cap=n), "the run cap cannot be negative"),
+}
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, "1", None, -1])
+@pytest.mark.parametrize("argument", list(_COUNTS))
+def test_a_count_is_a_nonnegative_int(argument, count):
+    # a bool is not a count: True built successor index 1 and wrote the
+    # header "finite-for: True", which its own verifier rejected; a run cap
+    # of -1 reported "run cap of -1 steps reached"
+    build, negative = _COUNTS[argument]
+    text = negative if count == -1 else f"a count is a nonnegative int, not {type(count).__name__}"
+    with pytest.raises(ValueError) as exc:
+        build(count)
+    assert str(exc.value).startswith(text)
+
+
 def test_trace_integers_are_canonical_hex():
     lines = run("classic", 4, max_steps=3, certify="none").trace_lines()
     assert json.loads(lines[2])["value"] == "1a"  # 26
@@ -536,6 +566,33 @@ def test_trace_io_leaves_the_int_digit_limit_alone():
     assert report.steps == 5
     if limit:
         assert limit() == before
+
+
+def _peak(f):
+    """f's result and the peak of the memory tracemalloc sees it take."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_row_holds_its_hex_text_once_besides_the_line():
+    # json.dumps of a row holds the hex text, its quoted copy and the line
+    # at once: a peak of 3.0 hex widths for one wide row, and 5.2 widths of
+    # the widest row for the verify of classic seed 2^15 + 8; a row that
+    # copies its hex text only into the line takes one width off each
+    row = StepRecord(0, (1 << 4_000_000) - 1, 2)
+    result = RunResult("classic", 1, "none", 1 << 23, None, [row], "step_cap")
+    lines, peak = _peak(result.trace_lines)
+    assert len(lines[1]) > 1_000_000
+    assert peak < 2.5 * 1_000_000
+    r = run("classic", 2**15 + 8, certify="none")
+    widest = max(len(format(rec.value, "x")) for rec in r.records)
+    lines = r.trace_lines()
+    report, peak = _peak(lambda: verify_trace(lines))
+    assert report.ok
+    assert peak < 4.7 * widest
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -682,6 +739,22 @@ def test_a_deleted_row_ends_the_comparison():
     assert verify_trace(lines[:3] + lines[4:]).problems == [
         "step 2: i, value, base, theta do not recompute"
     ]
+
+
+def test_a_row_past_the_end_of_the_run_is_reported(certified_lines):
+    # classic seed 3 terminates after six rows; a seventh is compared with
+    # the outcome line run writes, and the claimed outcome line with nothing
+    extra = _mutate(certified_lines[-2:-1], 0, "i", 6)
+    report = verify_trace(certified_lines[:-1] + extra + certified_lines[-1:])
+    assert report.problems == ["step 6: trace continues past the end of the run"]
+    assert (report.steps, report.outcome) == (7, "terminated")
+
+
+def test_a_deleted_outcome_line_is_reported(certified_lines):
+    # the last row is read as the outcome line, where run writes that row
+    report = verify_trace(certified_lines[:-1])
+    assert report.problems == ["step 5: the run goes on past the end of the trace"]
+    assert (report.steps, report.outcome) == (5, None)
 
 
 def test_unwanted_certificates_are_rejected():
