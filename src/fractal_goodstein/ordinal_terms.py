@@ -110,20 +110,16 @@ class _Interned(type):
         return term
 
 
-def _check_size(size: int) -> int:
+def _check_budgets(size: int, depth: int) -> None:
+    """Raise for a term of this size and depth over a budget, the node budget first."""
     if size > TERM_NODE_BUDGET:
         raise BudgetExceededError(
             f"term of {size} nodes exceeds budget of {TERM_NODE_BUDGET} nodes"
         )
-    return size
-
-
-def _check_depth(depth: int) -> int:
     if depth > TERM_DEPTH_BUDGET:
         raise BudgetExceededError(
             f"term of depth {depth} exceeds budget of {TERM_DEPTH_BUDGET} levels"
         )
-    return depth
 
 
 class Atom(metaclass=_Interned):
@@ -134,8 +130,9 @@ class Atom(metaclass=_Interned):
     def __init__(self, kind: str, arg: "OrdTerm | None") -> None:
         self.kind = kind
         self.arg = arg
-        self.size = _check_size(1 + (arg.size if arg is not None else 0))
-        self.depth = _check_depth(1 + (arg.depth if arg is not None else 0))
+        self.size = 1 + (arg.size if arg is not None else 0)
+        self.depth = 1 + (arg.depth if arg is not None else 0)
+        _check_budgets(self.size, self.depth)
         self._hash = hash(("atom", kind, arg))
 
     def __eq__(self, other: object) -> bool:
@@ -160,12 +157,18 @@ class CntTerm(metaclass=_Interned):
     def __init__(self, parts: tuple[tuple[Atom, int], ...], fin: int) -> None:
         if fin < 0:
             raise OrdinalError("finite part cannot be negative")
-        if any(m < 1 for _, m in parts):
-            raise OrdinalError("atom multiplicities must be positive")
+        size = depth = 1  # one pass over the pieces: multiplicities, size, depth
+        for atom, m in parts:
+            if m < 1:
+                raise OrdinalError("atom multiplicities must be positive")
+            size += atom.size
+            if atom.depth >= depth:
+                depth = atom.depth + 1
+        _check_budgets(size, depth)
         self.parts = parts
         self.fin = fin
-        self.size = _check_size(1 + sum(a.size for a, _ in parts))
-        self.depth = _check_depth(1 + max((a.depth for a, _ in parts), default=0))
+        self.size = size
+        self.depth = depth
         self._hash = hash(("cnt", parts, fin))
 
     def is_zero(self) -> bool:
@@ -194,16 +197,18 @@ class OrdTerm(metaclass=_Interned):
     __slots__ = ("monos", "tail", "size", "depth", "_hash")
 
     def __init__(self, monos: tuple[tuple["OrdTerm", CntTerm], ...], tail: CntTerm) -> None:
+        size, depth = 1 + tail.size, 1 + tail.depth  # one pass, as in CntTerm
         for exp, coeff in monos:
-            if exp.is_zero() or coeff.is_zero():
+            if not (exp.monos or exp.tail.parts or exp.tail.fin) or not (coeff.parts or coeff.fin):
                 raise OrdinalError("monomials need nonzero exponent and coefficient")
+            size += exp.size + coeff.size
+            if exp.depth >= depth or coeff.depth >= depth:
+                depth = 1 + max(exp.depth, coeff.depth)
+        _check_budgets(size, depth)
         self.monos = monos
         self.tail = tail
-        self.size = _check_size(
-            1 + sum(e.size + c.size for e, c in monos) + tail.size
-        )
-        deepest = max((max(e.depth, c.depth) for e, c in monos), default=0)
-        self.depth = _check_depth(1 + max(deepest, tail.depth))
+        self.size = size
+        self.depth = depth
         self._hash = hash(("ord", monos, tail))
 
     def is_zero(self) -> bool:
@@ -267,10 +272,8 @@ def as_cnt(x: OrdTerm) -> CntTerm:
 
 def theta(arg: OrdTerm) -> CntTerm:
     """v-collapse of arg; v(0) = 1 and v(1) = omega are folded in."""
-    if arg.is_zero():
-        return CNT_ONE
-    if arg == ONE:
-        return OMEGA
+    if not (arg.monos or arg.tail.parts) and arg.tail.fin < 2:
+        return OMEGA if arg.tail.fin else CNT_ONE
     return CntTerm(((Atom("theta", arg), 1),), 0)
 
 
@@ -278,16 +281,18 @@ def psi(arg: OrdTerm) -> CntTerm:
     """p-collapse of arg; countable arguments are fixed and p(Omega) = omega."""
     if arg.is_countable():
         return arg.tail
-    if arg == BIG_OMEGA:
-        return OMEGA
+    if len(arg.monos) == 1 and not (arg.tail.parts or arg.tail.fin):
+        (exp, coeff), = arg.monos  # p(Omega^1 * 1) = omega
+        if not (exp.monos or exp.tail.parts or coeff.parts) and exp.tail.fin == coeff.fin == 1:
+            return OMEGA
     return CntTerm(((Atom("psi", arg), 1),), 0)
 
 
 def omega_monomial(exp: OrdTerm, coeff: CntTerm) -> OrdTerm:
     """Omega^exp * coeff as a term; degenerate cases fold away."""
-    if coeff.is_zero():
+    if not (coeff.parts or coeff.fin):
         return ZERO
-    if exp.is_zero():
+    if not (exp.monos or exp.tail.parts or exp.tail.fin):
         return lift(coeff)
     return OrdTerm(((exp, coeff),), CNT_ZERO)
 
@@ -466,8 +471,7 @@ def ord_sum(terms: Iterable[OrdTerm]) -> OrdTerm:
         size = 1 + nodes + tail.size
         depth = 1 + (deepest if deepest > tail.depth else tail.depth)
         if size > TERM_NODE_BUDGET or depth > TERM_DEPTH_BUDGET:
-            _check_size(size)
-            _check_depth(depth)
+            _check_budgets(size, depth)
     monos = tuple(pairs)
     if monos and (tail.parts or tail.fin):
         # the monomials alone recur across nearby readings: their stored sum
@@ -487,8 +491,7 @@ def check_plus_big_omega(x: OrdTerm) -> None:
     if size > TERM_NODE_BUDGET or BIG_OMEGA.depth > TERM_DEPTH_BUDGET:
         if x.monos and x.monos[-1][0] == ONE:
             size -= 3
-        _check_size(size)
-        _check_depth(BIG_OMEGA.depth)
+        _check_budgets(size, BIG_OMEGA.depth)
 
 
 # --- cofinality and fundamental sequences --------------------------------

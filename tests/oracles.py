@@ -23,6 +23,12 @@ monomial.
 EveryIteratePlusHierarchy is PlusHierarchy with the critical-event loop it
 had before a dying event read its last iterate's width: it takes every
 iterate d_{k+1} = Phi(d_k), the one that only names the death included.
+
+oracle_atom, oracle_cnt and oracle_ord are the term constructors' bodies as
+they stood before each checked, sized and took the depth of its pieces in one
+pass: zero tests through is_zero(), then any, sum and max over the pieces.
+Each returns the (size, depth, hash) its constructor stores, or raises what
+it raises, in the same order: zero pieces, then size, then depth.
 """
 
 import contextlib
@@ -185,6 +191,48 @@ def textbook_deep_change(up, b, c, m, budget, low):
         return acc
     tail = ds[0] if ds[0] < low else up(ds[0])
     return INFINITY if tail is INFINITY else budget.check(acc + tail)
+
+
+def _oracle_check_size(size: int) -> int:
+    if size > ordinal_terms.TERM_NODE_BUDGET:
+        raise BudgetExceededError(
+            f"term of {size} nodes exceeds budget of {ordinal_terms.TERM_NODE_BUDGET} nodes"
+        )
+    return size
+
+
+def _oracle_check_depth(depth: int) -> int:
+    if depth > ordinal_terms.TERM_DEPTH_BUDGET:
+        raise BudgetExceededError(
+            f"term of depth {depth} exceeds budget of {ordinal_terms.TERM_DEPTH_BUDGET} levels"
+        )
+    return depth
+
+
+def oracle_atom(kind, arg):
+    size = _oracle_check_size(1 + (arg.size if arg is not None else 0))
+    depth = _oracle_check_depth(1 + (arg.depth if arg is not None else 0))
+    return size, depth, hash(("atom", kind, arg))
+
+
+def oracle_cnt(parts, fin):
+    if fin < 0:
+        raise OrdinalError("finite part cannot be negative")
+    if any(m < 1 for _, m in parts):
+        raise OrdinalError("atom multiplicities must be positive")
+    size = _oracle_check_size(1 + sum(a.size for a, _ in parts))
+    depth = _oracle_check_depth(1 + max((a.depth for a, _ in parts), default=0))
+    return size, depth, hash(("cnt", parts, fin))
+
+
+def oracle_ord(monos, tail):
+    for exp, coeff in monos:
+        if exp.is_zero() or coeff.is_zero():
+            raise OrdinalError("monomials need nonzero exponent and coefficient")
+    size = _oracle_check_size(1 + sum(e.size + c.size for e, c in monos) + tail.size)
+    deepest = max((max(e.depth, c.depth) for e, c in monos), default=0)
+    depth = _oracle_check_depth(1 + max(deepest, tail.depth))
+    return size, depth, hash(("ord", monos, tail))
 
 
 class EveryIteratePlusHierarchy(PlusHierarchy):

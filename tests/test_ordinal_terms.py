@@ -49,7 +49,10 @@ from oracles import (
     TERM_CLASSES,
     cold_outcome,
     max_coefficient,
+    oracle_atom,
+    oracle_cnt,
     oracle_compare_cnt,
+    oracle_ord,
     ord_add,
     plus_big_omega,
     term_budgets,
@@ -636,3 +639,79 @@ def test_the_table_cannot_be_observed_in_traces(monkeypatch, spec, seed, max_ste
     monkeypatch.setattr(ordinal_terms, "_TABLE_LIMIT", 8)  # clears again and again
     assert trace() == lines
     assert verify_trace(lines) == report
+
+
+def test_folds_read_structure_when_the_tables_are_empty():
+    # terms equal to the constants but built after the tables were emptied
+    # are new objects, and each fold must still see what they are
+    _clear_tables()
+    try:
+        zero_c, one_c = CntTerm((), 0), CntTerm((), 1)
+        zero, one = OrdTerm((), zero_c), OrdTerm((), one_c)
+        big_omega = OrdTerm(((one, one_c),), zero_c)
+        for fresh, constant in ((zero_c, CNT_ZERO), (zero, ZERO), (one, ONE), (big_omega, BIG_OMEGA)):
+            assert fresh == constant and fresh is not constant
+        assert theta(zero) == CNT_ONE
+        assert theta(one) == OMEGA
+        assert psi(big_omega) == OMEGA
+        coeff = theta(big_omega)
+        assert omega_monomial(big_omega, zero_c) == ZERO
+        assert omega_monomial(zero, coeff) == lift(coeff)
+        # one step off each constant does not fold
+        assert theta(OrdTerm((), CntTerm((), 2))).parts
+        assert psi(OrdTerm(((one, CntTerm((), 2)),), zero_c)).parts
+        assert psi(OrdTerm(((one, one_c),), one_c)).parts
+    finally:
+        _restore_tables()
+
+
+# constructor pieces: zero terms, negative finite parts and multiplicities
+# below 1 among them; a constructor checks neither order nor flavor
+_PIECE_ORDS = st.one_of(st.sampled_from([ZERO, ONE, BIG_OMEGA]), _ord_terms(_atoms_theta))
+_PIECE_CNTS = st.one_of(st.just(CNT_ZERO), _cnt_terms(2, _atoms_theta))
+_PIECE_ATOMS = st.one_of(
+    st.just(Atom("omega", None)), st.builds(Atom, st.sampled_from(["theta", "psi"]), _PIECE_ORDS)
+)
+_CONSTRUCTOR_ARGS = st.one_of(
+    st.tuples(st.just(Atom), st.sampled_from(["theta", "psi"]), _PIECE_ORDS),
+    st.tuples(
+        st.just(CntTerm),
+        st.lists(st.tuples(_PIECE_ATOMS, st.integers(-1, 3)), max_size=4).map(tuple),
+        st.integers(-2, 4),
+    ),
+    st.tuples(
+        st.just(OrdTerm),
+        st.lists(st.tuples(_PIECE_ORDS, _PIECE_CNTS), max_size=3).map(tuple),
+        _PIECE_CNTS,
+    ),
+)
+_ORACLE_BODIES = {Atom: oracle_atom, CntTerm: oracle_cnt, OrdTerm: oracle_ord}
+
+
+def _built(cls, *args):
+    """(size, depth, hash) of what cls.__init__ makes of args, on an object no table holds."""
+    term = object.__new__(cls)
+    cls.__init__(term, *args)
+    return term.size, term.depth, hash(term)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OrdinalError, BudgetExceededError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CONSTRUCTOR_ARGS, st.integers(-2, 2), st.integers(-2, 2))
+def test_constructors_match_their_multi_pass_bodies(args, nodes_off, depth_off):
+    cls, *pieces = args
+    oracle = _ORACLE_BODIES[cls]
+    reference = _outcome(oracle, *pieces)
+    assert _outcome(_built, cls, *pieces) == reference
+    if type(reference[0]) is int:
+        # budgets just under, at and just over the term's size and depth
+        size, depth, _ = reference
+        with term_budgets(size + nodes_off, depth + depth_off):
+            assert _outcome(_built, cls, *pieces) == _outcome(oracle, *pieces)
+        _restore_tables()
