@@ -201,7 +201,7 @@ class ThetaReader:
         else:
             fresh = ThetaInterpretation(stage)
             arg, star, r = fresh.upper(n), fresh.star(n), n % b
-        out = theta(natural_sum(arg, lift(star)) if star.parts or star.fin else arg)
+        out = theta(arg if star.is_zero() else natural_sum(arg, lift(star)))
         self._last = (b, arg, star, r)
         return out
 

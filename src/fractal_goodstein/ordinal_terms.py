@@ -157,7 +157,7 @@ class CntTerm(metaclass=_Interned):
     def __init__(self, parts: tuple[tuple[Atom, int], ...], fin: int) -> None:
         if fin < 0:
             raise OrdinalError("finite part cannot be negative")
-        size = depth = 1  # one pass over the pieces: multiplicities, size, depth
+        size = depth = 1
         for atom, m in parts:
             if m < 1:
                 raise OrdinalError("atom multiplicities must be positive")
@@ -197,7 +197,7 @@ class OrdTerm(metaclass=_Interned):
     __slots__ = ("monos", "tail", "size", "depth", "_hash")
 
     def __init__(self, monos: tuple[tuple["OrdTerm", CntTerm], ...], tail: CntTerm) -> None:
-        size, depth = 1 + tail.size, 1 + tail.depth  # one pass, as in CntTerm
+        size, depth = 1 + tail.size, 1 + tail.depth
         for exp, coeff in monos:
             if not (exp.monos or exp.tail.parts or exp.tail.fin) or not (coeff.parts or coeff.fin):
                 raise OrdinalError("monomials need nonzero exponent and coefficient")
@@ -281,18 +281,16 @@ def psi(arg: OrdTerm) -> CntTerm:
     """p-collapse of arg; countable arguments are fixed and p(Omega) = omega."""
     if arg.is_countable():
         return arg.tail
-    if len(arg.monos) == 1 and not (arg.tail.parts or arg.tail.fin):
-        (exp, coeff), = arg.monos  # p(Omega^1 * 1) = omega
-        if not (exp.monos or exp.tail.parts or coeff.parts) and exp.tail.fin == coeff.fin == 1:
-            return OMEGA
+    if arg == BIG_OMEGA:
+        return OMEGA
     return CntTerm(((Atom("psi", arg), 1),), 0)
 
 
 def omega_monomial(exp: OrdTerm, coeff: CntTerm) -> OrdTerm:
     """Omega^exp * coeff as a term; degenerate cases fold away."""
-    if not (coeff.parts or coeff.fin):
+    if coeff.is_zero():
         return ZERO
-    if not (exp.monos or exp.tail.parts or exp.tail.fin):
+    if exp.is_zero():
         return lift(coeff)
     return OrdTerm(((exp, coeff),), CNT_ZERO)
 

@@ -26,7 +26,6 @@ from .hierarchy import (
     _check_count,
     _check_horizon,
     _check_increasing,
-    _check_pair,
     _coerce,
     HorizonError,
 )
@@ -82,7 +81,6 @@ class PlusHierarchy(Hierarchy):
         self._added_at = [0]
         self._frontier = self.base.min_base
         self._checked_to = 0  # critical events before this survive, as a width pass showed
-        self._checked_prefix = 1  # every adjacent pair in _elems[:_checked_prefix] is checked
         self._no_more_events = False
 
     def __repr__(self) -> str:
@@ -201,7 +199,7 @@ class PlusHierarchy(Hierarchy):
         """Force every element; only terminates when the successor is finite."""
         while self._extend_one():
             pass
-        return self._stage(len(self._elems))
+        return FiniteHierarchy(self._elems)
 
     # --- stages and upgrades ---
 
@@ -210,16 +208,7 @@ class PlusHierarchy(Hierarchy):
         if n < 0:
             raise ValueError("stages are indexed by nonnegative integers")
         self._advance_to(n)
-        return self._stage(bisect_right(self._added_at, n))
-
-    def _stage(self, k: int) -> FiniteHierarchy:
-        """The first k bases, each adjacent pair checked once: when a stage first holds it."""
-        for i in range(self._checked_prefix, k):
-            _check_pair(self._elems[i - 1], self._elems[i])
-        self._checked_prefix = max(self._checked_prefix, k)
-        stage = object.__new__(FiniteHierarchy)  # its __init__ would check every pair again
-        stage._elems = self._elems[:k]
-        return stage
+        return FiniteHierarchy(self._elems[: bisect_right(self._added_at, n)])
 
     def d_sequence(self, n: int) -> tuple[int, ...]:
         """Iterated deep changes at a critical value: d_0 through d_index."""

@@ -7,7 +7,6 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractal_goodstein import hierarchy, successors
 from fractal_goodstein.hierarchy import FiniteHierarchy, HorizonError, LazyHierarchy
 from fractal_goodstein.numerals import (
     DEFAULT_BUDGET,
@@ -56,62 +55,6 @@ def test_plus_two_stage_of_2():
 def test_plus_one_stage_of_3():
     ph = PlusHierarchy([3], 1)
     assert ph.stage_at(12).known_elements() == (4, 8, 64, 4160)
-
-
-@pytest.fixture
-def pair_checks(monkeypatch):
-    """The (prev, cur) pairs _check_pair is asked to check, wherever it is called from."""
-    checked = []
-    real = hierarchy._check_pair
-
-    def counted(prev, cur):
-        checked.append((prev, cur))
-        real(prev, cur)
-
-    for module in (hierarchy, successors):
-        monkeypatch.setattr(module, "_check_pair", counted, raising=False)
-    return checked
-
-
-def test_a_stage_checks_each_pair_once(pair_checks):
-    ph = PlusHierarchy([3], 1)
-    first = ph.stage_at(12)
-    assert first.known_elements() == (4, 8, 64, 4160)
-    assert pair_checks == [(4, 8), (8, 64), (64, 4160)]
-    pair_checks.clear()
-    assert ph.stage_at(12) == first
-    assert ph.stage_at(6).known_elements() == (4, 8)
-    assert pair_checks == []
-    chain = PlusHierarchy([2, 6], 0)
-    pair_checks.clear()  # (2, 6), of the source hierarchy
-    whole = chain.materialize()
-    assert chain.stage_at(6) == whole and whole.known_elements() == (3, 30)
-    assert pair_checks == [(3, 30)]
-
-
-def test_a_repeat_stage_of_wide_bases_takes_no_modulus(pair_checks):
-    # 21 bases up to 491,242 bits: each repeat took all 20 moduli again
-    ph = PlusHierarchy([4], 2)
-    ph.stage_at(47)
-    pair_checks.clear()
-    first = ph.stage_at(44)
-    assert len(first) == 21 and ph.stage_at(44) == first
-    assert pair_checks == []
-
-
-@pytest.mark.parametrize("wrapped", [0, 6])
-def test_a_forged_base_is_rejected_when_a_stage_first_holds_it(wrapped):
-    ph = PlusHierarchy([3], 1)
-    if wrapped:
-        assert len(ph.stage_at(wrapped)) == 2  # (4, 8) is checked here
-    ph.chosen_base(12)  # builds the bases up to 12 without wrapping them
-    ph._elems[2] = 63
-    with pytest.raises(ValueError) as built:
-        FiniteHierarchy(ph._elems)
-    for _ in range(2):  # a pair that failed is not taken as checked
-        with pytest.raises(ValueError) as staged:
-            ph.stage_at(12)
-        assert str(staged.value) == str(built.value) == "63 is not a multiple of its predecessor 8"
 
 
 def test_d_sequence_requires_critical_point():
