@@ -127,7 +127,7 @@ class Hierarchy:
         kept = [b for b in self._elems if b <= n]
         if not kept:
             raise ValueError(f"no bases at or below {n}: restriction would be empty")
-        return FiniteHierarchy(kept)
+        return FiniteHierarchy._checked(kept)
 
     def elements_from(self, start: int) -> Iterator[int]:
         """Bases >= start in increasing order; lazy pulls stay horizon-guarded."""
@@ -156,6 +156,13 @@ class FiniteHierarchy(Hierarchy):
         for prev, cur in zip(elems, elems[1:]):
             _check_pair(prev, cur)
         self._elems = elems
+
+    @classmethod
+    def _checked(cls, elems: list[int]) -> "FiniteHierarchy":
+        """The hierarchy of ``elems``, a list of bases already checked in increasing order."""
+        h = cls.__new__(cls)
+        h._elems = elems
+        return h
 
     def _extend_one(self) -> bool:
         return False

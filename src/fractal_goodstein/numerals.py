@@ -5,9 +5,11 @@ floating point.  A bit budget guards against materializing numbers so
 wide that downstream work becomes infeasible.
 
 A deep base change takes each wide power once: its first c**pe is the first
-b**e of the next step's decomposition in base c, handed on in a run's table,
-and within a walk a power is derived from the one above it, exact and no
-wider than it.  An even base's power is its odd part's power, shifted.
+b**e of the next step's decomposition in base c, handed on in a run's table
+keyed by base, c -> (pe, c**pe), and within a walk a power is derived from
+the one above it, exact and no wider than it.  An even base's power is its
+odd part's power, shifted.  A decomposition takes a logarithm only where its
+exponent is neither provably small, counted up from 0, nor at hand in the table.
 _change_width carries the iterates of a polynomial deep change by their widths.
 """
 
@@ -122,7 +124,7 @@ class Infinity:
 INFINITY = Infinity()
 
 ExtNat = int | Infinity
-Powers = dict[tuple[int, int], int]  # a run's table: (b, k) -> b**k
+Powers = dict[int, tuple[int, int]]  # a run's table: b -> (k, b**k)
 
 
 # log2 of a base is bounded in fixed point with _LOG_BITS fraction bits,
@@ -172,30 +174,29 @@ def _floor_log(
 ) -> tuple[int, int]:
     """Largest e with b**e <= n, together with b**e.  Requires n >= 1, b >= 2.
 
-    A start e0 with b**e0 <= n is stepped up by multiplications by b.  For
-    n wider than 64 bits, e0 comes from the bit length L of n and an upper
-    bound h on log2(b) from _log2_ceil, both in integers: e0 = floor((L - 1)
-    / h) has e0 * log2(b) <= L - 1, so b**e0 <= 2**(L - 1) <= n.  b**e0 is
-    then the one power taken, and at most two steps remain, unless a power is
-    at hand: entries (b, e0 .. e0 + 2) are popped from ``powers`` and the
-    largest at most n starts; else, given ``above`` = (e', b**e') with
-    n < b**e', b**e0 = b**e' // b**(e' - e0) when that divisor is narrow.
+    A start e0 with b**e0 <= n is stepped up by multiplications by b.  With L
+    the bit length of n and w = (bit length of b) - 1 <= log2(b), the answer
+    is at most (L - 1) // w.  The start is the first of these that applies:
+    - e0 = 0, when L <= 64, or L <= 256 and that bound is below 16;
+    - the entry (k, b**k) of b in ``powers``, which is popped, when b**k <= n
+      and L - (bit length of b**k) < 3 * w: then fewer than three steps remain;
+    - e0 = floor((L - 1) / h) for an upper bound h on log2(b) from
+      _log2_ceil, in integers: e0 * log2(b) <= L - 1, so b**e0 <= 2**(L - 1)
+      <= n.  b**e0 is the one power taken, and at most two steps remain;
+      given ``above`` = (e', b**e') with n < b**e', b**e0 = b**e' // b**(e' - e0)
+      when that divisor is narrow.
     """
-    if n.bit_length() <= 64:
-        # here e <= 63, in practice a handful: cheaper to count up from 0
+    L, w = n.bit_length(), b.bit_length() - 1
+    if L <= 64 or L <= 256 and (L - 1) // w < 16:
         e, power = 0, 1
+    elif powers and (hit := powers.pop(b, None)) and hit[1] <= n and L - hit[1].bit_length() < 3 * w:
+        e, power = hit
     else:
-        e = ((n.bit_length() - 1) << _LOG_BITS) // _log2_ceil(b)
-        power = 0
-        if powers:
-            for k in (e, e + 1, e + 2):
-                if 0 < (p := powers.pop((b, k), 0)) <= n:
-                    e, power = k, p
-        if not power:
-            if above and 0 < (g := above[0] - e) * b.bit_length() <= _LADDER_BITS:
-                power = above[1] // b**g
-            else:
-                power = pow(b, e)
+        e = ((L - 1) << _LOG_BITS) // _log2_ceil(b)
+        if above and 0 < (g := above[0] - e) * b.bit_length() <= _LADDER_BITS:
+            power = above[1] // b**g
+        else:
+            power = pow(b, e)
         # The answer e* has b**e* <= n < 2**L, so it lies below
         # L / log2(b) <= (L - 1) / log2(b) + 1, and the floor puts e0 above
         # (L - 1) / h - 1, where h exceeds log2(b) by at most
@@ -270,15 +271,17 @@ def _phi_value(
     hereditary base change.
 
     A walk reads its first b**e from the table ``powers``, and a walk over an
-    m of _WIDE_BITS or more puts its first c**pe there: that is the b**e of
-    the next step's first decomposition in base c.  Later powers of a walk
-    are exact quotients of the ones above them, never wider than a power
-    budget.pow already checked, so deaths are the same.
+    m of _WIDE_BITS or more puts its first c**pe there, under the key c: that
+    is the b**e of the next step's first decomposition in base c.  A power
+    of at most min(_LADDER_BITS, budget.bits) bits by pe * (bit length of c)
+    passes the guards of budget.pow by its width and is taken directly.
+    Later powers of a walk are exact quotients of the ones above them, never
+    wider than a power budget.pow already checked, so deaths are the same.
     """
     if m < b:
         return m if m < low else up(m)
     acc: ExtNat = 0
-    rest = m
+    rest, bits = m, budget.bits
     above = cpow = None  # (e, b**e) and (pe, c**pe) of the monomial before
     # walk monomials iteratively; recursion depth is only the exponent tower
     while rest >= b:
@@ -292,16 +295,20 @@ def _phi_value(
         if pe is INFINITY or ua is INFINITY:
             acc = INFINITY
             break
-        if cpow and 0 < (g := cpow[0] - pe) * c.bit_length() <= _LADDER_BITS:
+        if (w := pe * c.bit_length()) <= _LADDER_BITS and w <= bits:
+            power = c**pe  # fits the budget by its width: the guards cannot fail
+        elif cpow and 0 < (g := cpow[0] - pe) * c.bit_length() <= _LADDER_BITS:
             power = cpow[1] // c**g
         else:
             power = budget.pow(c, pe)
             if cpow is None and powers is not None and m.bit_length() >= _WIDE_BITS:
-                powers[c, pe] = power
+                powers[c] = pe, power
                 if len(powers) > _POWERS_CAP:
                     del powers[next(iter(powers))]
         cpow = pe, power
-        acc = budget.check(acc + power * ua)
+        acc += power * ua
+        if acc.bit_length() > bits:
+            budget.check(acc)
         rest = r
     if acc is not INFINITY and rest:
         tail = rest if rest < low else up(rest)

@@ -160,6 +160,9 @@ class PlusHierarchy(Hierarchy):
     def _append(self, x: int, pos: int) -> None:
         """Append a base built by _apply_event, checking horizon, budget and order.
 
+        These are the only checks a base of a successor gets: its stages and
+        its materialization wrap the checked bases as they are.
+
         x is a multiple of the last base by construction, so no modulus is
         taken.  A source event appends ``c * (ph // c + 1)``.  A critical
         event sits at ``u * (pos // u + 1)`` (_next_event), a multiple of its
@@ -199,7 +202,7 @@ class PlusHierarchy(Hierarchy):
         """Force every element; only terminates when the successor is finite."""
         while self._extend_one():
             pass
-        return FiniteHierarchy(self._elems)
+        return FiniteHierarchy._checked(self._elems[:])
 
     # --- stages and upgrades ---
 
@@ -208,7 +211,7 @@ class PlusHierarchy(Hierarchy):
         if n < 0:
             raise ValueError("stages are indexed by nonnegative integers")
         self._advance_to(n)
-        return FiniteHierarchy(self._elems[: bisect_right(self._added_at, n)])
+        return FiniteHierarchy._checked(self._elems[: bisect_right(self._added_at, n)])
 
     def d_sequence(self, n: int) -> tuple[int, ...]:
         """Iterated deep changes at a critical value: d_0 through d_index."""

@@ -30,6 +30,15 @@ def test_validation_rules():
     assert FiniteHierarchy([6, 2]) == FiniteHierarchy([2, 6])
 
 
+def test_every_pair_of_a_finite_hierarchy_is_checked_with_its_text():
+    with pytest.raises(ValueError, match=r"^6 is not a multiple of its predecessor 4$"):
+        FiniteHierarchy([4, 6])
+    with pytest.raises(ValueError, match=r"^bases must be strictly increasing, got 2 followed by 2$"):
+        FiniteHierarchy([2, 2, 4])
+    with pytest.raises(ValueError, match=r"^12 is not a multiple of its predecessor 8$"):
+        FiniteHierarchy([2, 4, 8, 12])
+
+
 def test_validate_wrapper():
     assert FiniteHierarchy([2, 6]).known_elements() == (2, 6)
     with pytest.raises(ValueError):

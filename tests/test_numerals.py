@@ -6,7 +6,7 @@ import re
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractal_goodstein.numerals import (
     INFINITY,
@@ -87,6 +87,41 @@ def test_floor_log_matches_the_naive_oracle_up_to_20k_bits():
         b = rng.randrange(2, 1 << rng.randrange(2, 80))
         n = rng.getrandbits(rng.randrange(1, 20000)) + 1
         assert _floor_log(n, b) == naive_floor_log(n, b), (n.bit_length(), b)
+
+
+@st.composite
+def floor_log_cases(draw):
+    """(n, b): n up to 4,096 bits, at random or next to a power of b, b from 2 to 2**70."""
+    b = draw(st.integers(2, 16) | st.integers(2, 2**70))
+    if draw(st.booleans()):
+        return draw(st.integers(1, 2**4096 - 1) | st.integers(1, 2**256)), b
+    e = draw(st.integers(0, 4095 // (b.bit_length() - 1) - 1))
+    return max(1, b**e + draw(st.integers(-1, 1))), b
+
+
+@settings(max_examples=400, deadline=None)
+@given(floor_log_cases(), st.data())
+def test_floor_log_matches_the_naive_oracle_with_and_without_a_table(case, data):
+    # the count-up region (L <= 64, or L <= 256 with a bound below 16 on the
+    # answer) and past it, with no table, or with a base-keyed table holding
+    # b's own power at, above or far below the answer, and powers of other bases
+    n, b = case
+    e, power = naive_floor_log(n, b)
+    others = {x: (k, x**k) for x, k in ((b + 1, e), (2 * b, 3))}
+    entry = {
+        "none": None,
+        "right": (e, power),
+        "above": (e + 1, power * b),
+        "far below": (e // 3, b ** (e // 3)),
+    }[data.draw(st.sampled_from(["none", "right", "above", "far below"]))]
+    table = data.draw(st.sampled_from([None, {}, others]))
+    kept = dict(table or {})
+    if entry and table is not None:
+        table = {**table, b: entry}
+    assert _floor_log(n, b, None, table) == (e, power)
+    if table:
+        assert all(p == x**k for x, (k, p) in table.items())
+        assert {x: v for x, v in table.items() if x != b} == kept
 
 
 def test_floor_log_at_exact_powers():

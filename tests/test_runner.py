@@ -1045,7 +1045,7 @@ def test_values_do_not_depend_on_the_certify_mode(spec):
                 seen[certify] = str(e), h
             else:
                 seen[certify] = ([rec.value for rec in r.records], r.outcome, r.detail), h
-            assert all(v == b**k for (b, k), v in h._powers.items())
+            assert all(p == b**k for b, (k, p) in h._powers.items())
         (values, h_none), (both_values, h_both) = seen["none"], seen["both"]
         where = (seed, bits, horizon)
         assert values == both_values, where

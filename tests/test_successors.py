@@ -1,12 +1,13 @@
 """Plus-construction stages and the dynamical base hierarchies built on them."""
 
 from bisect import bisect_right
-from itertools import count
+from itertools import count, product
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractal_goodstein import hierarchy
 from fractal_goodstein.hierarchy import FiniteHierarchy, HorizonError, LazyHierarchy
 from fractal_goodstein.numerals import (
     DEFAULT_BUDGET,
@@ -23,6 +24,7 @@ from fractal_goodstein.successors import (
     PlusHierarchy,
     d_sequence,
     dynamical,
+    hierarchy_from_spec,
     ouroboros_stage,
 )
 from fractal_goodstein.upgrade import UpgradeContext
@@ -314,6 +316,51 @@ def test_built_bases_revalidate_as_hierarchies(appends):
     # FiniteHierarchy runs the full _check_pair, modulus included
     for p in {id(p): p for p, _ in appends}.values():
         FiniteHierarchy(p.known_elements())
+
+
+@pytest.mark.parametrize(
+    "spec", ["plus-chain: 2,6", "plus-chain: 3,12", "finite-for: 3", "finite-for: 4", "finite-for: 5", "diagonal"]
+)
+def test_every_stage_a_sweep_builds_revalidates(spec):
+    # a materialized successor and a frozen stage wrap the bases _append
+    # checked as they are; the full check, modulus included, accepts each
+    stages = 0
+    for seed, bits, horizon in product(range(9), (8, 64, 512, 4096, 1 << 16), (2, 4, 16, 512)):
+        h = hierarchy_from_spec(spec, BitBudget(bits), horizon)
+        try:
+            run(h, seed, max_steps=40, certify="both")
+        except ValueError:  # a seed above the first stage's bound
+            continue
+        for stage in h._stages:
+            assert isinstance(stage, FiniteHierarchy)
+            assert FiniteHierarchy(list(stage)) == stage
+        stages += len(h._stages)
+    assert stages > 100
+
+
+def test_stages_and_materializations_check_no_pair_again(monkeypatch):
+    # the bases were checked once, by _append, as they were built
+    pairs = []
+    real = hierarchy._check_pair
+
+    def counted(prev, cur):
+        pairs.append((prev, cur))
+        real(prev, cur)
+
+    monkeypatch.setattr(hierarchy, "_check_pair", counted)
+    chain, plus, p = dynamical("plus-chain", start=[2, 6]), PlusHierarchy([2, 6, 12], 0), PlusHierarchy([4], 2)
+    pairs.clear()  # the given starts are checked as they come in
+    top = chain.stage(60)
+    assert len(top) == 2 and top.max_base.bit_length() > 300
+    finite = plus.materialize()
+    stages = [p.stage_at(n) for n in (40, 20, 40, 40)]
+    assert stages[0] == stages[2] == stages[3] and len(stages[0]) > len(stages[1])
+    assert p.stage_at(40).restrict(p.stage_at(20).max_base) == stages[1]
+    assert pairs == []
+    # the public constructor still checks every pair of what it is given
+    for stage in (top, finite, stages[0]):
+        assert FiniteHierarchy(list(stage)) == stage
+    assert len(pairs) == len(top) + len(finite) + len(stages[0]) - 3
 
 
 def test_the_dying_diagonal_successor_revalidates():

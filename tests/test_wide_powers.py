@@ -9,6 +9,7 @@ monomial, with equal values or equal budget error texts.
 
 import builtins
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from fractal_goodstein.numerals import (
     _floor_log,
     base_change,
 )
-from fractal_goodstein.runner import run
+from fractal_goodstein.runner import run, verify_trace
 from fractal_goodstein.successors import PlusHierarchy, dynamical
 from fractal_goodstein.upgrade import UpgradeContext
 
@@ -83,14 +84,20 @@ def test_floor_log_from_the_table_and_the_power_above(b, bits, data):
     e = 0
     while b ** (e + 1) <= n:
         e += 1
-    # exact powers of b around the answer, above it too, and of other bases
-    near = data.draw(st.lists(st.integers(max(0, e - 3), e + 3), max_size=5))
-    table = {(b, k): b**k for k in near}
-    table.update({(b + 1, k): (b + 1) ** k for k in (e - 1, e, e + 1)})
+    # an exact power of b around the answer, above it too, and powers of other bases
+    k = data.draw(st.integers(max(0, e - 3), e + 3))
+    others = {x: (j, x**j) for x, j in ((b + 1, e), (2 * b, e - 1))}
+    table = {b: (k, b**k), **others}
     gap = data.draw(st.sampled_from(_ladder_gaps(b)) | st.integers(1, 4 * _LADDER_BITS))
     above = data.draw(st.sampled_from([None, (e + gap, b ** (e + gap))]))
-    assert _floor_log(n, b, above, table) == (e, b**e)
-    assert all(p == base**k for (base, k), p in table.items())
+    with mock.patch.object(numerals, "_log2_ceil", wraps=numerals._log2_ceil) as log:
+        assert _floor_log(n, b, above, table) == (e, b**e)
+    # the entry of b is taken out whether it starts or not; the others stay
+    assert table == others
+    if k == e:
+        assert not log.called, "the answer's own power starts with no logarithm"
+    if k > e:
+        assert log.called, "a power above n cannot start"
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,16 +126,28 @@ def test_upgrade_context_deep_changes_match_the_textbook_change(walk):
         (6, 7, 6**400 + 5 * 6**399 + 4 * 6**360 + 3),
         (1000, 1001, 999 * 1000**1010 + 1000**1009 + 5 * 1000**900 + 1000**40),
         (1000, 1024, 999 * 1000**1010 + 1000**1009 + 5 * 1000**900 + 1000**40),
+        # narrow walks, whose powers are taken directly when their width
+        # bound pe * (bit length of c) is at most the budget and 256 bits:
+        # classic steps (11**4 at a bound of 16 bits, whose sum dies at a
+        # budget of 16), every base-3 digit 2 into 4 (bounds up to 126
+        # bits), and 255**32, of 256 bits at a bound of 256, whose sum dies
+        # at 256
+        (1000, 1001, 7056196392490392190065),
+        (10, 11, 50089),
+        (3, 4, 3**27 - 1),
+        (200, 255, 199 * 200**32 + 7 * 200**31 + 5),
     ],
 )
 def test_every_budget_dies_with_the_textbook_text(b, c, m):
-    # budgets on a grid from below m to past the change: each death, on the
-    # pre-guard or the check of the first power, a derived one or the sum,
-    # raises what the textbook change raises
+    # budgets from below m to past the change, on a grid or, for a narrow
+    # change, every one: each death, on the pre-guard or the check of the
+    # first power, a derived or a direct one, or the sum, raises what the
+    # textbook change raises
     up = UpgradeContext(SOURCE, TARGET).upgrade if b == 6 else None
     low = 2 if b == 6 else b
     full = textbook_deep_change(up, b, c, m, DEFAULT_BUDGET, low).bit_length()
-    for bits in sorted({int(64 * (full / 32) ** (k / 40)) for k in range(41)} | {full - 1, full}):
+    grid = {int(64 * (full / 32) ** (k / 40)) for k in range(41)} | {full - 1, full}
+    for bits in range(1, full + 2) if full <= 2 * _LADDER_BITS else sorted(grid):
         budget = BitBudget(bits)
         want = outcome(textbook_deep_change, up, b, c, m, budget, low)
         if b == 6:
@@ -170,7 +189,7 @@ def _textbook_successor(stage, budget):
 
 def _stranger_powers():
     """A full table of exact powers, none of them of the stage's own bases."""
-    return {(b, 2 * b + 1): b ** (2 * b + 1) for b in range(300, 300 + _POWERS_CAP)}
+    return {b: (2 * b + 1, b ** (2 * b + 1)) for b in range(300, 300 + _POWERS_CAP)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +260,14 @@ def test_only_the_first_power_of_a_wide_walk_is_handed_on():
     # is taken fresh too, and it is wide
     m = 1000**400 + 1000**200 + 7
     assert base_change(m, 1000, 1001, powers=table) == 1001**400 + 1001**200 + 7
-    assert table == {(1001, 400): 1001**400}
+    assert table == {1001: (400, 1001**400)}
+    # the next step's first decomposition starts from that entry and takes it
+    # out: its one logarithm is for the power of 1001**200, past the ladder
+    with mock.patch.object(numerals, "_log2_ceil", wraps=numerals._log2_ceil) as log:
+        got = base_change(1001**400 + 1001**200 + 6, 1001, 1002, powers=table)
+    assert got == 1002**400 + 1002**200 + 6
+    assert log.call_count == 1
+    assert table == {1002: (400, 1002**400)}
 
 
 def test_a_wide_classic_run_takes_few_wide_powers(monkeypatch):
@@ -269,3 +295,17 @@ def test_a_wide_classic_run_takes_few_wide_powers(monkeypatch):
     assert max(r.value for r in result.records).bit_length() > 100_000
     assert taken["decompose"] > 0 and taken["budget"] > 0, "both power sites are counted"
     assert sum(taken.values()) < 1_000, taken
+
+
+def test_narrow_classic_runs_take_no_logarithm():
+    # classic seeds 4 to 7 climb to at most 73 bits in 1,000 steps, over bases
+    # below 1,003, so every decomposition counts its exponent up from 0: at
+    # most 64 bits, or at most 256 with an exponent provably below 16.  The
+    # fixed-point logarithm is never asked, and its cache, empty in a fresh
+    # process, takes no miss (seed 7 made 501 when only values of at most 64
+    # bits counted up)
+    numerals._log2_frac.cache_clear()
+    for seed in (4, 5, 6, 7):
+        result = run("classic", seed, max_steps=1000, certify="both")
+        assert verify_trace(result.trace_lines()).ok
+    assert numerals._log2_frac.cache_info().misses == 0
