@@ -71,16 +71,6 @@ class Hierarchy:
         """Try to materialize one more element; False when there is none."""
         raise NotImplementedError
 
-    def _ensure_above(self, x: int) -> bool:
-        """Materialize until the last known element exceeds x.
-
-        Returns False if the hierarchy is exhausted with every element <= x.
-        """
-        while self._elems[-1] <= x:
-            if not self._extend_one():
-                return False
-        return True
-
     @property
     def min_base(self) -> int:
         return self._elems[0]
@@ -88,31 +78,34 @@ class Hierarchy:
     def __contains__(self, n: object) -> bool:
         if not isinstance(n, int) or n < self._elems[0]:
             return False
-        self._ensure_above(n)
-        i = bisect.bisect_left(self._elems, n)
-        return i < len(self._elems) and self._elems[i] == n
+        return self._max_leq(n) == n
 
     def _max_leq(self, x: int) -> int:
-        # largest element <= x; callers guarantee x >= min_base
-        self._ensure_above(x)
-        i = bisect.bisect_right(self._elems, x)
+        # largest element <= x, materialized past x; callers guarantee x >= min_base
+        while (i := bisect.bisect_right(self._elems, x)) == len(self._elems) and self._extend_one():
+            pass
         return self._elems[i - 1]
 
     def lower_base(self, n: int) -> int:
         """Largest base <= max(n - 1, min_base)."""
-        return self._max_leq(max(n - 1, self._elems[0]))
+        return int(self._max_leq(max(n - 1, self._elems[0])))
 
     def upper_base(self, n: int) -> int:
         """Largest base <= max(n, min_base)."""
-        return self._max_leq(max(n, self._elems[0]))
+        return int(self._max_leq(max(n, self._elems[0])))
 
     def s_next(self, n: ExtNat) -> ExtNat:
         """Least base strictly above n; INFINITY when there is none."""
+        b = self._s_next(n)
+        return b if b is INFINITY else int(b)
+
+    def _s_next(self, n: ExtNat) -> ExtNat:
+        # s_next with a held base as it is, for a successor's events
         if isinstance(n, Infinity):
             return INFINITY
-        if not self._ensure_above(n):
-            return INFINITY
-        i = bisect.bisect_right(self._elems, n)
+        while (i := bisect.bisect_right(self._elems, n)) == len(self._elems):
+            if not self._extend_one():
+                return INFINITY
         return self._elems[i]
 
     def is_critical(self, n: int) -> bool:
@@ -123,7 +116,8 @@ class Hierarchy:
 
     def restrict(self, n: int) -> "FiniteHierarchy":
         """The finite hierarchy of all bases <= n."""
-        self._ensure_above(n)
+        if n >= self._elems[0]:
+            self._max_leq(n)
         kept = [b for b in self._elems if b <= n]
         if not kept:
             raise ValueError(f"no bases at or below {n}: restriction would be empty")
@@ -136,12 +130,12 @@ class Hierarchy:
             while i >= len(self._elems):
                 if not self._extend_one():
                     return
-            yield self._elems[i]
+            yield int(self._elems[i])
             i += 1
 
     def known_elements(self) -> tuple[int, ...]:
         """Snapshot of what has been materialized so far."""
-        return tuple(self._elems)
+        return tuple(map(int, self._elems))
 
 
 class FiniteHierarchy(Hierarchy):
@@ -169,13 +163,13 @@ class FiniteHierarchy(Hierarchy):
 
     @property
     def max_base(self) -> int:
-        return self._elems[-1]
+        return int(self._elems[-1])
 
     def __len__(self) -> int:
         return len(self._elems)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._elems)
+        return map(int, self._elems)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FiniteHierarchy):

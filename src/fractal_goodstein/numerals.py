@@ -11,11 +11,17 @@ the one above it, exact and no wider than it.  An even base's power is its
 odd part's power, shifted.  A decomposition takes a logarithm only where its
 exponent is neither provably small, counted up from 0, nor at hand in the table.
 _change_width carries the iterates of a polynomial deep change by their widths.
+
+A deep change asked to hold its result, whose lead is past 256 bits and fits
+the budget by the widths alone, takes no power: it returns a Form, its digits
+along c, which answers width and order from them and takes its integer once,
+when something else reads it.  A Form over b is walked by its digits.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from operator import ge, gt, le, lt
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -61,23 +67,27 @@ class BitBudget:
         return n
 
     def pow(self, base: int, exp: int) -> int:
-        """base**exp, refused before it is taken if it cannot fit the budget.
-
-        An even base o * 2**t is taken as o**exp shifted left by t * exp
-        bits, the same integer: the shift is linear in the width, and the
-        products that build the power are narrower, the last by t * exp bits.
-        """
+        """base**exp, refused before it is taken if it cannot fit the budget."""
         # pre-guard: refuse before materializing anything astronomically wide
         if base >= 2 and (
             exp > self.bits or (base.bit_length() - 1) * exp > self.bits
         ):
             raise self.refusal(base, exp)
-        if (t := (base & -base).bit_length() - 1) > 0:
-            return self.check((base >> t) ** exp << t * exp)
-        return self.check(base**exp)
+        return self.check(_power(base, exp))
 
     def refusal(self, base: int, exp: int) -> BudgetExceededError:
         return BudgetExceededError(f"{_short(base)}**{_short(exp)} exceeds budget of {self.bits} bits")
+
+
+def _power(base: int, exp: int) -> int:
+    """base**exp, an even base o * 2**t taken as o**exp shifted left by t * exp bits.
+
+    The shift is linear in the width, and the products that build the power
+    are narrower, the last by t * exp bits.
+    """
+    if (t := (base & -base).bit_length() - 1) > 0:
+        return (base >> t) ** exp << t * exp
+    return base**exp
 
 
 def _short(n: int) -> str:
@@ -261,7 +271,8 @@ def _phi_value(
     budget: BitBudget,
     low: int,
     powers: Powers | None = None,
-) -> ExtNat:
+    held: list[tuple[int, int]] | None = None,
+) -> ExtNat | Form:
     """Deep base change of m: hereditary base-b monomials rebuilt over c.
 
     Digits and small remainders below ``low`` stay as they are, those from
@@ -277,16 +288,27 @@ def _phi_value(
     passes the guards of budget.pow by its width and is taken directly.
     Later powers of a walk are exact quotients of the ones above them, never
     wider than a power budget.pow already checked, so deaths are the same.
+
+    A Form m over b is walked by its own monomials, with no logarithm and no
+    division.  Given a list ``held``, a change whose lead c**pe is past 256
+    bits and whose c**(pe + 1) fits the budget, both by c's width, takes no
+    power: it puts its monomials (pe, ua) in ``held`` and returns their Form.
+    No check can fail on the way, as every sum it checks lies below c**(pe + 1).
     """
-    if m < b:
-        return m if m < low else up(m)
     acc: ExtNat = 0
-    rest, bits = m, budget.bits
+    rest, bits, todo = m, budget.bits, ()
+    if type(m) is Form:
+        rest, todo = m.tail, m.terms[::-1]
+    elif m < b:
+        return m if m < low else up(m)
     above = cpow = None  # (e, b**e) and (pe, c**pe) of the monomial before
     # walk monomials iteratively; recursion depth is only the exponent tower
-    while rest >= b:
-        e, bpow = above = _floor_log(rest, b, above, None if above else powers)
-        a, r = divmod(rest, bpow)
+    while todo or rest >= b:
+        if todo:
+            e, a = todo.pop()
+        else:
+            e, bpow = above = _floor_log(rest, b, above, None if above else powers)
+            a, rest = divmod(rest, bpow)
         if e < b:  # most exponents are single digits: no recursive call
             pe = e if e < low else up(e)
         else:
@@ -295,6 +317,11 @@ def _phi_value(
         if pe is INFINITY or ua is INFINITY:
             acc = INFINITY
             break
+        if held is not None and (
+            held or not acc and _LADDER_BITS <= pe * (c.bit_length() - 1) and (pe + 1) * c.bit_length() <= bits
+        ):
+            held.append((pe, ua))
+            continue
         if (w := pe * c.bit_length()) <= _LADDER_BITS and w <= bits:
             power = c**pe  # fits the budget by its width: the guards cannot fail
         elif cpow and 0 < (g := cpow[0] - pe) * c.bit_length() <= _LADDER_BITS:
@@ -309,11 +336,10 @@ def _phi_value(
         acc += power * ua
         if acc.bit_length() > bits:
             budget.check(acc)
-        rest = r
     if acc is not INFINITY and rest:
         tail = rest if rest < low else up(rest)
         acc = INFINITY if tail is INFINITY else budget.check(acc + tail)
-    return acc
+    return Form(c, held, acc) if held and acc is not INFINITY else acc
 
 
 Bracket = tuple[int, int, int]  # (s, lo, hi): lo * 2**s <= value < hi * 2**s
@@ -328,6 +354,85 @@ def _bracket(s: int, lo: int, hi: int) -> Bracket:
 def _width(v: Bracket) -> int | None:
     """The bit length of every value in v; None if v straddles a power of two."""
     return v[1].bit_length() + v[0] if v[1].bit_length() == (v[2] - 1).bit_length() else None
+
+
+def _pow_bracket(c: int, e: int) -> Bracket:
+    """c**e for e >= 1 as a bracket, squared up bit by bit and cut as _bracket cuts."""
+    v = _bracket(0, c, c + 1)
+    for bit in bin(e)[3:]:
+        s, lo, hi = v = _bracket(2 * v[0], v[1] ** 2, v[2] ** 2 if v[0] else v[1] ** 2 + 1)
+        if bit == "1":
+            v = _bracket(s, lo * c, hi * c if s else lo * c + 1)
+    return v
+
+
+def _ordered(op: Callable[[int, int], bool]) -> Callable[[Form, int | Form], bool]:
+    """A comparison of a Form: by its integer once it is taken, else by Form._cmp."""
+    return lambda self, o: op(self._n, o) if self._n is not None and type(o) is int else op(self._cmp(o), 0)
+
+
+class Form:
+    """A base held as the change that built it, sum(c**pe * ua) + tail, until its integer is read.
+
+    Its digits along c have falling exponents and ua, tail < c, so its lead bounds its width:
+    lo <= width <= hi.  Comparisons read these bounds, then the width a bracket settles, which
+    bit_length() and so _short read too.  Anything else takes the integer, once, by int().
+    """
+
+    __slots__ = ("c", "terms", "tail", "lo", "hi", "_n")
+
+    def __init__(self, c: int, terms: list[tuple[int, int]], tail: int) -> None:
+        (pe, ua), w = terms[0], c.bit_length()
+        self.c, self.terms, self.tail, self._n = c, terms, tail, None
+        self.lo, self.hi = pe * (w - 1) + ua.bit_length(), (pe + 1) * w
+
+    def __index__(self) -> int:
+        if self._n is None:
+            self._n = sum(_power(self.c, pe) * ua for pe, ua in self.terms) + self.tail
+        return self._n
+
+    def bit_length(self) -> int:
+        if self._n is None:  # the monomials below the lead sum to less than c**k
+            (pe, ua), k = self.terms[0], self.terms[1][0] + 1 if len(self.terms) > 1 else 1
+            (s, lo, hi), (t, _, top) = _pow_bracket(self.c, pe), _pow_bracket(self.c, k)
+            if w := _width(_bracket(s, lo * ua, hi * ua + (top << t >> s) + 1)):
+                return w
+        return int(self).bit_length()
+
+    def _cmp(self, o: int | Form) -> int:
+        """The sign of self - o, read from widths where they differ."""
+        if o is self:
+            return 0
+        lo, hi = (o.lo, o.hi) if type(o) is Form else (o.bit_length(),) * 2
+        if hi < self.lo or lo > self.hi:
+            return 1 if hi < self.lo else -1
+        if (w := self.bit_length()) != (v := o.bit_length()):
+            return 1 if w > v else -1
+        return (int(self) > int(o)) - (int(self) < int(o))
+
+    def __eq__(self, o: object) -> bool:
+        return self._n == o if self._n is not None else isinstance(o, (int, Form)) and self._cmp(o) == 0
+
+    __lt__, __le__, __gt__, __ge__ = map(_ordered, (lt, le, gt, ge))
+    __hash__ = lambda self: hash(int(self))
+    __repr__ = lambda self: repr(int(self))
+
+    def __sub__(self, one: int) -> int | Form:
+        """self - 1 as a form: the lowest monomial lends c**pe, c - 1 in each digit below it."""
+        c, terms, tail = self.c, self.terms, self.tail
+        if one != 1 or tail:
+            return Form(c, terms, tail - 1) if one == 1 else int(self) - one
+        (pe, ua), terms = terms[-1], terms[:-1]
+        terms += [(pe, ua - 1)] * (ua > 1) + [(k, c - 1) for k in range(pe - 1, 0, -1)]
+        return Form(c, terms, c - 1)
+
+    def next_multiple(self) -> int | Form:
+        """c * (self // c + 1) of a form fresh from _phi_value, in place: a carry forces."""
+        c, terms, (pe, ua) = self.c, self.terms, self.terms[-1]
+        if self.tail >= c or pe == 1 and ua + 1 == c:
+            return c * (int(self) // c + 1)
+        terms[-1:], self.tail = [(1, ua + 1)] if pe == 1 else [(pe, ua), (1, 1)], 0
+        return self
 
 
 def _change_width(m: int, b: int, low: int, d: Bracket) -> tuple[Bracket, int] | None:

@@ -12,6 +12,12 @@ Upgrades into a successor built this way never escape to infinity, and
 they collapse to a single deep base change into the stage maximum; no
 candidate search is needed.  A dynamical hierarchy builds each successor
 once, even when the build dies.
+
+A source event holds a base whose lead is past 256 bits as a numerals.Form,
+the digits of its deep change.  Lookups and the budget and order checks read
+its width; the next source event walks the form of pos - 1; the public
+accessors, an event built over it and arithmetic take its integer.  A
+critical event takes its iterates in full: each is read by the next.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .numerals import (
     _short,
     BitBudget,
     ExtNat,
+    Form,
     INFINITY,
     Powers,
     _bracket,
@@ -92,12 +99,13 @@ class PlusHierarchy(Hierarchy):
 
     def _next_event(self, pos: int) -> tuple[int, bool] | None:
         """Position and kind (True = source-base event) of the first event after pos."""
-        next_b = self.base.s_next(pos)
+        next_b = self.base._s_next(pos)
         if self.index == 0:
             # critical events add nothing, so only source bases matter
             if next_b is INFINITY:
                 return None
             return next_b, True
+        pos = int(pos)  # the multiple after a held source base reads its integer
         u = self.base.upper_base(pos)
         multiple = u * (pos // u + 1)
         if next_b is not INFINITY and next_b <= multiple:
@@ -107,11 +115,14 @@ class PlusHierarchy(Hierarchy):
     def _apply_event(self, pos: int, is_base: bool, until: int) -> None:
         """Apply the event at pos on the way to until; a critical one first runs the width pass."""
         if is_base:
-            c = self._elems[-1]
-            b = self.base.lower_base(pos)
-            ph = self._phi(b, c, pos - 1)
+            # the base below pos is the one at the frontier, and a held pos is a form over it
+            c, b, m = int(self._elems[-1]), self.base._max_leq(self._frontier), pos - 1
+            ph = _phi_value(
+                self.upgrade_value, b if type(m) is Form else int(b), c, m, self.budget,
+                self.base.min_base, self._powers, [],
+            )
             assert ph is not INFINITY
-            self._append(c * (ph // c + 1), pos)
+            self._append(ph.next_multiple() if type(ph) is Form else c * (ph // c + 1), pos)
         else:
             if pos >= self._checked_to and (death := self._proved_death(pos, until)):
                 raise death
@@ -141,7 +152,7 @@ class PlusHierarchy(Hierarchy):
         whose text shows a base past 256 bits by W alone.  Else the events run
         exactly; ``_checked_to`` skips the passes of those before where it stopped.
         """
-        bits, x, n = self.budget.bits, self._elems[-1], len(self._elems)
+        bits, x, n = self.budget.bits, int(self._elems[-1]), len(self._elems)
         d, w, is_base = _bracket(0, x, x + 1), x.bit_length(), False
         while not is_base and pos <= until and pos.bit_length() <= 64:
             b = self.base.upper_base(pos)
@@ -174,7 +185,8 @@ class PlusHierarchy(Hierarchy):
             raise HorizonError(
                 f"{self!r} needs more than {self._hor} materialized bases"
             )
-        _check_increasing(self._elems[-1], self.budget.check(x))
+        # a held base fits the budget by the width of its lead (_phi_value)
+        _check_increasing(self._elems[-1], x if type(x) is Form else self.budget.check(x))
         self._elems.append(x)
         self._added_at.append(pos)
 
@@ -220,7 +232,7 @@ class PlusHierarchy(Hierarchy):
         # the event at n appended d_1 .. d_index right after d_0
         self._advance_to(n)
         k = bisect_right(self._added_at, n - 1)
-        return tuple(self._elems[k - 1 : k + self.index])
+        return tuple(map(int, self._elems[k - 1 : k + self.index]))
 
     def upgrade_value(self, n: int) -> int:
         """Upgrade n from the base into this successor.
@@ -243,11 +255,11 @@ class PlusHierarchy(Hierarchy):
         if n < self.base.min_base:
             return None
         self._advance_to(n)
-        return self._elems[bisect_right(self._added_at, n) - 1]
+        return int(self._elems[bisect_right(self._added_at, n) - 1])
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
         return _phi_value(
-            self.upgrade_value, b, c, m, self.budget, self.base.min_base, self._powers
+            self.upgrade_value, b, int(c), m, self.budget, self.base.min_base, self._powers
         )
 
 

@@ -24,6 +24,9 @@ EveryIteratePlusHierarchy is PlusHierarchy with the critical-event loop it
 had before a dying event read its last iterate's width: it takes every
 iterate d_{k+1} = Phi(d_k), the one that only names the death included.
 
+EagerPlusHierarchy is PlusHierarchy with the source event it had before a
+stage base was held by its form: every base it builds is an int.
+
 oracle_atom, oracle_cnt and oracle_ord are the term constructors' bodies as
 they stood before each checked, sized and took the depth of its pieces in one
 pass: zero tests through is_zero(), then any, sum and max over the pieces.
@@ -253,3 +256,20 @@ class EveryIteratePlusHierarchy(PlusHierarchy):
         except BudgetExceededError:
             del self._elems[start:], self._added_at[start:]
             raise
+
+
+class EagerPlusHierarchy(PlusHierarchy):
+    """A successor that takes each base's integer as it builds it, as before bases were held.
+
+    A source event takes the deep change of pos - 1 in full, through the walk
+    with its table of powers, and rounds it up to the next multiple of c, so
+    no base of it, nor of a stage built from it, is ever a Form.
+    """
+
+    def _apply_event(self, pos: int, is_base: bool, until: int) -> None:
+        if not is_base:
+            return super()._apply_event(pos, is_base, until)
+        c = self._elems[-1]
+        ph = self._phi(self.base.lower_base(pos), c, pos - 1)
+        assert ph is not INFINITY
+        self._append(c * (ph // c + 1), pos)

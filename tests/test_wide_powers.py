@@ -239,13 +239,14 @@ def test_out_of_order_steps_give_the_values_of_a_fresh_hierarchy():
     v = 5
     for i in range(150):
         v = chain.upgrade_step(i, v) - 1
-    assert chain._powers, "a wide run leaves powers in its table"
+    # its stage bases are held by their forms and take no power; the wide
+    # upgrades below put theirs in the table, and later ones may read them
     for i in (149, 146, 154, 120, 153):
         big = chain.stage(i).max_base
         n = big * rng.randrange(1, big) + rng.randrange(big)
         fresh = dynamical("plus-chain", start=[2, 6])
         assert chain.upgrade_step(i, n) == fresh.upgrade_step(i, n), i
-        assert len(chain._powers) <= _POWERS_CAP
+        assert 0 < len(chain._powers) <= _POWERS_CAP, "a wide upgrade leaves powers in the table"
 
 
 def test_only_the_first_power_of_a_wide_walk_is_handed_on():
