@@ -130,7 +130,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         base = static_hierarchy_from_spec(args.base)
         plus = PlusHierarchy(base, args.i)
         stage = plus.stage_at(args.n)
-        print(",".join(map(_short, stage)))
+        print(",".join(map(_short, stage._elems)))  # held bases print their width, as repr does
         return 0
     if args.command == "interp":
         h = static_hierarchy_from_spec(args.hierarchy)

@@ -4,18 +4,17 @@ Everything here works on plain Python ints and never goes through
 floating point.  A bit budget guards against materializing numbers so
 wide that downstream work becomes infeasible.
 
-A deep base change takes each wide power once: its first c**pe is the first
-b**e of the next step's decomposition in base c, handed on in a run's table
-keyed by base, c -> (pe, c**pe), and within a walk a power is derived from
-the one above it, exact and no wider than it.  An even base's power is its
-odd part's power, shifted.  A decomposition takes a logarithm only where its
-exponent is neither provably small, counted up from 0, nor at hand in the table.
-_change_width carries the iterates of a polynomial deep change by their widths.
+Within a deep base change's walk a power is derived from the one above it,
+exact and no wider than it (_ladder).  An even base's power is its odd part's
+power, shifted.  A decomposition takes a logarithm only where its exponent is
+not provably small, counted up from 0.  _change_width carries the iterates of
+a polynomial deep change by their widths.
 
 A deep change asked to hold its result, whose lead is past 256 bits and fits
 the budget by the widths alone, takes no power: it returns a Form, its digits
 along c, which answers width and order from them and takes its integer once,
-when something else reads it.  A Form over b is walked by its digits.
+when something else reads it.  A Form over b is walked by its digits, so a
+step that hands its value on as a Form spares the next walk its decompositions.
 """
 
 from __future__ import annotations
@@ -134,7 +133,6 @@ class Infinity:
 INFINITY = Infinity()
 
 ExtNat = int | Infinity
-Powers = dict[int, tuple[int, int]]  # a run's table: b -> (k, b**k)
 
 
 # log2 of a base is bounded in fixed point with _LOG_BITS fraction bits,
@@ -142,9 +140,7 @@ Powers = dict[int, tuple[int, int]]  # a run's table: b -> (k, b**k)
 _LOG_BITS = 64
 _MANT_BITS = _LOG_BITS + 4
 
-_WIDE_BITS = 1024  # narrowest value whose walk hands its first power on: narrower is cheap to take
 _LADDER_BITS = 256  # the widest divisor that derives a power from the one above
-_POWERS_CAP = 8  # entries a run's table of powers keeps
 
 
 @lru_cache(maxsize=4096)
@@ -179,34 +175,31 @@ def _log2_ceil(b: int) -> int:
     return (k << _LOG_BITS) + _log2_frac(top) + 2
 
 
-def _floor_log(
-    n: int, b: int, above: tuple[int, int] | None = None, powers: Powers | None = None
-) -> tuple[int, int]:
+def _ladder(b: int, e: int, above: tuple[int, int] | None, take: Callable[[int, int], int]) -> int:
+    """b**e: above = (e', b**e') divided by b**(e' - e) when that is narrow, else take(b, e)."""
+    if above and 0 < (g := above[0] - e) * b.bit_length() <= _LADDER_BITS:
+        return above[1] // b**g
+    return take(b, e)
+
+
+def _floor_log(n: int, b: int, above: tuple[int, int] | None = None) -> tuple[int, int]:
     """Largest e with b**e <= n, together with b**e.  Requires n >= 1, b >= 2.
 
     A start e0 with b**e0 <= n is stepped up by multiplications by b.  With L
     the bit length of n and w = (bit length of b) - 1 <= log2(b), the answer
-    is at most (L - 1) // w.  The start is the first of these that applies:
-    - e0 = 0, when L <= 64, or L <= 256 and that bound is below 16;
-    - the entry (k, b**k) of b in ``powers``, which is popped, when b**k <= n
-      and L - (bit length of b**k) < 3 * w: then fewer than three steps remain;
-    - e0 = floor((L - 1) / h) for an upper bound h on log2(b) from
-      _log2_ceil, in integers: e0 * log2(b) <= L - 1, so b**e0 <= 2**(L - 1)
-      <= n.  b**e0 is the one power taken, and at most two steps remain;
-      given ``above`` = (e', b**e') with n < b**e', b**e0 = b**e' // b**(e' - e0)
-      when that divisor is narrow.
+    is at most (L - 1) // w.  The start is e0 = 0 when L <= 64, or L <= 256
+    and that bound is below 16; else e0 = floor((L - 1) / h) for an upper
+    bound h on log2(b) from _log2_ceil, in integers: e0 * log2(b) <= L - 1,
+    so b**e0 <= 2**(L - 1) <= n.  b**e0 is the one power taken, and at most
+    two steps remain; given ``above`` = (e', b**e') with n < b**e', it is
+    derived from that power (_ladder).
     """
     L, w = n.bit_length(), b.bit_length() - 1
     if L <= 64 or L <= 256 and (L - 1) // w < 16:
         e, power = 0, 1
-    elif powers and (hit := powers.pop(b, None)) and hit[1] <= n and L - hit[1].bit_length() < 3 * w:
-        e, power = hit
     else:
         e = ((L - 1) << _LOG_BITS) // _log2_ceil(b)
-        if above and 0 < (g := above[0] - e) * b.bit_length() <= _LADDER_BITS:
-            power = above[1] // b**g
-        else:
-            power = pow(b, e)
+        power = _ladder(b, e, above, pow)
         # The answer e* has b**e* <= n < 2**L, so it lies below
         # L / log2(b) <= (L - 1) / log2(b) + 1, and the floor puts e0 above
         # (L - 1) / h - 1, where h exceeds log2(b) by at most
@@ -267,10 +260,9 @@ def _phi_value(
     up: Callable[[int], ExtNat] | None,
     b: int,
     c: int,
-    m: int,
+    m: int | Form,
     budget: BitBudget,
     low: int,
-    powers: Powers | None = None,
     held: list[tuple[int, int]] | None = None,
 ) -> ExtNat | Form:
     """Deep base change of m: hereditary base-b monomials rebuilt over c.
@@ -281,57 +273,53 @@ def _phi_value(
     With low == b no digit is upgraded (up is never called): that is the
     hereditary base change.
 
-    A walk reads its first b**e from the table ``powers``, and a walk over an
-    m of _WIDE_BITS or more puts its first c**pe there, under the key c: that
-    is the b**e of the next step's first decomposition in base c.  A power
-    of at most min(_LADDER_BITS, budget.bits) bits by pe * (bit length of c)
-    passes the guards of budget.pow by its width and is taken directly.
-    Later powers of a walk are exact quotients of the ones above them, never
-    wider than a power budget.pow already checked, so deaths are the same.
+    A power of at most min(_LADDER_BITS, budget.bits) bits by pe * (bit
+    length of c) passes the guards of budget.pow by its width and is taken
+    directly.  Later powers of a walk are exact quotients of the ones above
+    them (_ladder), never wider than a power budget.pow already checked, so
+    deaths are the same.
 
-    A Form m over b is walked by its own monomials, with no logarithm and no
-    division.  Given a list ``held``, a change whose lead c**pe is past 256
-    bits and whose c**(pe + 1) fits the budget, both by c's width, takes no
-    power: it puts its monomials (pe, ua) in ``held`` and returns their Form.
-    No check can fail on the way, as every sum it checks lies below c**(pe + 1).
+    A Form m over b is walked by its own monomials and then its run, with no
+    logarithm and no division.  Given a list ``held``, a change whose lead
+    c**pe is past 256 bits and whose c**(pe + 1) fits the budget, both by
+    c's width, takes no power: it puts its monomials (pe, ua) in ``held`` and
+    returns their Form.  No check can fail on the way, as every sum it
+    checks lies below c**(pe + 1).
     """
     acc: ExtNat = 0
-    rest, bits, todo = m, budget.bits, ()
+    rest, bits, todo, run = m, budget.bits, (), 0
     if type(m) is Form:
-        rest, todo = m.tail, m.terms[::-1]
+        rest, todo, run = m.tail, m.terms[::-1], m.run
     elif m < b:
         return m if m < low else up(m)
     above = cpow = None  # (e, b**e) and (pe, c**pe) of the monomial before
     # walk monomials iteratively; recursion depth is only the exponent tower
-    while todo or rest >= b:
+    while todo or run or rest >= b:
         if todo:
             e, a = todo.pop()
+        elif run:
+            e, a, run = run, b - 1, run - 1
         else:
-            e, bpow = above = _floor_log(rest, b, above, None if above else powers)
+            e, bpow = above = _floor_log(rest, b, above)
             a, rest = divmod(rest, bpow)
         if e < b:  # most exponents are single digits: no recursive call
             pe = e if e < low else up(e)
         else:
-            pe = _phi_value(up, b, c, e, budget, low, powers)
+            pe = _phi_value(up, b, c, e, budget, low)
         ua = a if a < low else up(a)
         if pe is INFINITY or ua is INFINITY:
             acc = INFINITY
             break
         if held is not None and (
-            held or not acc and _LADDER_BITS <= pe * (c.bit_length() - 1) and (pe + 1) * c.bit_length() <= bits
+            held or _LADDER_BITS <= pe * (c.bit_length() - 1) and (pe + 1) * c.bit_length() <= bits
         ):
             held.append((pe, ua))
             continue
+        held = None  # only the lead decides
         if (w := pe * c.bit_length()) <= _LADDER_BITS and w <= bits:
             power = c**pe  # fits the budget by its width: the guards cannot fail
-        elif cpow and 0 < (g := cpow[0] - pe) * c.bit_length() <= _LADDER_BITS:
-            power = cpow[1] // c**g
         else:
-            power = budget.pow(c, pe)
-            if cpow is None and powers is not None and m.bit_length() >= _WIDE_BITS:
-                powers[c] = pe, power
-                if len(powers) > _POWERS_CAP:
-                    del powers[next(iter(powers))]
+            power = _ladder(c, pe, cpow, budget.pow)
         cpow = pe, power
         acc += power * ua
         if acc.bit_length() > bits:
@@ -372,28 +360,36 @@ def _ordered(op: Callable[[int, int], bool]) -> Callable[[Form, int | Form], boo
 
 
 class Form:
-    """A base held as the change that built it, sum(c**pe * ua) + tail, until its integer is read.
+    """A value held as the change that built it, sum(c**pe * ua) + tail, until its integer is read.
 
     Its digits along c have falling exponents and ua, tail < c, so its lead bounds its width:
-    lo <= width <= hi.  Comparisons read these bounds, then the width a bracket settles, which
-    bit_length() and so _short read too.  Anything else takes the integer, once, by int().
+    lo <= width <= hi; a run k > 0 puts c - 1 at each exponent from k to 1 after a last monomial
+    (k + 1, c - 1).  Comparisons read the bounds, then the width a bracket settles, which
+    bit_length() and so _short read too.  Anything else takes the integer once, by int().
     """
 
-    __slots__ = ("c", "terms", "tail", "lo", "hi", "_n")
+    __slots__ = ("c", "terms", "run", "tail", "lo", "hi", "_n")
 
-    def __init__(self, c: int, terms: list[tuple[int, int]], tail: int) -> None:
+    def __init__(
+        self, c: int, terms: list[tuple[int, int]], tail: int, run: int = 0, n: int | None = None
+    ) -> None:
         (pe, ua), w = terms[0], c.bit_length()
-        self.c, self.terms, self.tail, self._n = c, terms, tail, None
+        self.c, self.terms, self.run, self.tail, self._n = c, terms, run, tail, n
         self.lo, self.hi = pe * (w - 1) + ua.bit_length(), (pe + 1) * w
 
     def __index__(self) -> int:
+        """The sum, each power derived from the one above where it can; a run adds c**(k + 1) - c."""
         if self._n is None:
-            self._n = sum(_power(self.c, pe) * ua for pe, ua in self.terms) + self.tail
+            n, above = self.tail, None
+            for pe, ua in self.terms:
+                above = pe, _ladder(self.c, pe, above, _power)
+                n += above[1] * ua
+            self._n = n + above[1] - self.c if self.run else n
         return self._n
 
     def bit_length(self) -> int:
         if self._n is None:  # the monomials below the lead sum to less than c**k
-            (pe, ua), k = self.terms[0], self.terms[1][0] + 1 if len(self.terms) > 1 else 1
+            (pe, ua), k = self.terms[0], self.terms[1][0] + 1 if len(self.terms) > 1 else self.run + 1
             (s, lo, hi), (t, _, top) = _pow_bracket(self.c, pe), _pow_bracket(self.c, k)
             if w := _width(_bracket(s, lo * ua, hi * ua + (top << t >> s) + 1)):
                 return w
@@ -418,13 +414,16 @@ class Form:
     __repr__ = lambda self: repr(int(self))
 
     def __sub__(self, one: int) -> int | Form:
-        """self - 1 as a form: the lowest monomial lends c**pe, c - 1 in each digit below it."""
-        c, terms, tail = self.c, self.terms, self.tail
-        if one != 1 or tail:
-            return Form(c, terms, tail - 1) if one == 1 else int(self) - one
+        """self - 1 as a form, carrying the integer if it is known: the lowest monomial lends
+        c**pe, and each digit below it is c - 1, the first listed and the rest a run."""
+        c, terms, tail, n = self.c, self.terms, self.tail, self._n and self._n - 1
+        if one != 1 or self.run and not tail:
+            return int(self) - one
+        if tail:
+            return Form(c, terms, tail - 1, self.run, n)
         (pe, ua), terms = terms[-1], terms[:-1]
-        terms += [(pe, ua - 1)] * (ua > 1) + [(k, c - 1) for k in range(pe - 1, 0, -1)]
-        return Form(c, terms, c - 1)
+        terms += [(pe, ua - 1)] * (ua > 1) + [(pe - 1, c - 1)] * (pe > 1)
+        return Form(c, terms, c - 1, max(pe - 2, 0), n)
 
     def next_multiple(self) -> int | Form:
         """c * (self // c + 1) of a form fresh from _phi_value, in place: a carry forces."""
@@ -459,13 +458,10 @@ def _change_width(m: int, b: int, low: int, d: Bracket) -> tuple[Bracket, int] |
     return _bracket(0, x, x + 1), e1
 
 
-def base_change(
-    n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET, powers: Powers | None = None
-) -> int:
+def base_change(n: int, b: int, c: int, budget: BitBudget = DEFAULT_BUDGET) -> int:
     """Rewrite n from hereditary base b to base c >= b, digits unchanged.
 
-    Strictly monotone in n, the identity when c == b.  ``powers`` is the
-    caller's table of wide powers (see _phi_value); the result never depends on it.
+    Strictly monotone in n, the identity when c == b.
     """
     if b < 2:
         raise ValueError(f"base must be at least 2, got {b}")
@@ -474,7 +470,7 @@ def base_change(
     if n < 0:
         raise ValueError(f"cannot base-change {n}")
     budget.check(n)
-    return _phi_value(None, b, c, n, budget, b, powers)
+    return _phi_value(None, b, c, n, budget, b)
 
 
 def superexp(x: int, y: int, budget: BitBudget = DEFAULT_BUDGET) -> int:

@@ -156,8 +156,9 @@ class _Steps:
     moves no frontier of a stage or successor the value column builds, so
     values, the outcome and ``detail`` are the same in every mode.  It may
     build more: on ``classic``, whose value column is closed-form, psi
-    evidence builds the step-0 successor, and its deep changes add entries
-    to the run's table of powers, each of them exact.
+    evidence builds the step-0 successor.  A value moves on as ``carry``: a
+    wide classic value stays the numerals.Form of its change that the step
+    held (``_held``), carrying the row's integer, and the next step walks it.
     """
 
     def __init__(
@@ -186,11 +187,12 @@ class _Steps:
         want_theta = self.certify in ("theta", "both")
         want_psi = self.certify in ("psi", "both")
         read_theta = ThetaReader().value
-        value = psi_n = self.seed
+        carry = psi_n = self.seed
         prev_u: CntTerm | None = None
         i = 0
         try:
             while True:
+                value = int(carry)
                 stage = h.stage(i)
                 bound = h.step_bound(i)
                 if bound is not None and value > bound:
@@ -226,7 +228,8 @@ class _Steps:
                         psi_n = majorize_witness(stage, plus.index, psi_n, i + 1, h.budget, plus)
                     except _CERT_ERRORS as e:
                         self.psi_stop = {"step": i, "reason": str(e)}
-                value = h.upgrade_step(i, value) - 1
+                up = h.upgrade_step(i, carry)
+                carry = (up if h._held is None else h._held) - 1
                 i += 1
         except BudgetExceededError as e:
             self.outcome, self.detail = "budget_exceeded", str(e)

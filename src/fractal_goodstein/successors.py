@@ -43,12 +43,10 @@ from .numerals import (
     ExtNat,
     Form,
     INFINITY,
-    Powers,
     _bracket,
     _change_width,
     _phi_value,
     _width,
-    base_change,
     superexp,
 )
 
@@ -77,13 +75,11 @@ class PlusHierarchy(Hierarchy):
         index: int,
         budget: BitBudget = DEFAULT_BUDGET,
         horizon: int = DEFAULT_HORIZON,
-        powers: Powers | None = None,
     ) -> None:
         self.index = _check_count(index, "successor index cannot be negative")
         self.base = _coerce(base)
         self.budget = budget
         self._hor = _check_horizon(horizon)
-        self._powers = powers
         self._elems = [self.base.min_base + 1]
         self._added_at = [0]
         self._frontier = self.base.min_base
@@ -118,8 +114,7 @@ class PlusHierarchy(Hierarchy):
             # the base below pos is the one at the frontier, and a held pos is a form over it
             c, b, m = int(self._elems[-1]), self.base._max_leq(self._frontier), pos - 1
             ph = _phi_value(
-                self.upgrade_value, b if type(m) is Form else int(b), c, m, self.budget,
-                self.base.min_base, self._powers, [],
+                self.upgrade_value, b if type(m) is Form else int(b), c, m, self.budget, self.base.min_base, []
             )
             assert ph is not INFINITY
             self._append(ph.next_multiple() if type(ph) is Form else c * (ph // c + 1), pos)
@@ -146,11 +141,11 @@ class PlusHierarchy(Hierarchy):
         """The pre-guard's refusal that ends the events from pos to until, if widths prove it.
 
         A critical event at a pos below 65 bits whose digits lie below the minimum
-        base has a polynomial iterate that reads no table of powers.  If every
-        iterate on the way has a settled width W <= bits and fits the horizon, and
-        then one has (W - 1) * e1 > bits, its first power dies on the pre-guard,
-        whose text shows a base past 256 bits by W alone.  Else the events run
-        exactly; ``_checked_to`` skips the passes of those before where it stopped.
+        base has a polynomial iterate.  If every iterate on the way has a settled
+        width W <= bits and fits the horizon, and then one has (W - 1) * e1 > bits,
+        its first power dies on the pre-guard, whose text shows a base past 256
+        bits by W alone.  Else the events run exactly; ``_checked_to`` skips the
+        passes of those before where it stopped.
         """
         bits, x, n = self.budget.bits, int(self._elems[-1]), len(self._elems)
         d, w, is_base = _bracket(0, x, x + 1), x.bit_length(), False
@@ -258,9 +253,7 @@ class PlusHierarchy(Hierarchy):
         return int(self._elems[bisect_right(self._added_at, n) - 1])
 
     def _phi(self, b: int, c: int, m: int) -> ExtNat:
-        return _phi_value(
-            self.upgrade_value, b, int(c), m, self.budget, self.base.min_base, self._powers
-        )
+        return _phi_value(self.upgrade_value, b, int(c), m, self.budget, self.base.min_base)
 
 
 def ouroboros_stage(
@@ -294,11 +287,9 @@ class DynamicalHierarchy:
     ``_next_stage(j, plus)`` of the successor ``plus`` of stage j with index
     ``_successor_index(j)``.  By default that is the whole j-th successor,
     started from {2}: the ouroboros construction.
-
-    Each object owns its run's table of wide powers, ``_powers``, which its
-    successors and upgrades pass to _phi_value.  Entries are exact, so any call
-    order gives the same values; verify_trace builds its own object and table.
     """
+
+    _held: int | Form | None = None  # a classic upgrade_step's result, for the run's next step
 
     kind: str
 
@@ -312,7 +303,6 @@ class DynamicalHierarchy:
         self.horizon = _check_horizon(horizon)
         self._stages: list[Hierarchy] = [FiniteHierarchy([2]) if first is None else first]
         self._plus: list[PlusHierarchy] = []
-        self._powers: Powers = {}
         # the death of the build of successor len(_plus), as type and args:
         # its traceback's frames would keep the wide half-built bases alive
         self._death: tuple[type[Exception], tuple] | None = None
@@ -340,9 +330,7 @@ class DynamicalHierarchy:
                 kind, args = self._death
                 raise kind(*args)
             j = len(self._plus)
-            p = PlusHierarchy(
-                self._stages[j], self._successor_index(j), self.budget, self.horizon, self._powers
-            )
+            p = PlusHierarchy(self._stages[j], self._successor_index(j), self.budget, self.horizon)
             try:
                 nxt = self._next_stage(j, p)
             except BudgetExceededError as e:
@@ -393,8 +381,15 @@ class ClassicHierarchy(DynamicalHierarchy):
     def stage(self, i: int) -> Hierarchy:
         return FiniteHierarchy([i + 2])
 
-    def upgrade_step(self, i: int, n: int) -> int:
-        return base_change(n, i + 2, i + 3, self.budget, self._powers)
+    def upgrade_step(self, i: int, n: int | Form) -> int:
+        """base_change(n, i + 2, i + 3), held in ``_held`` as its Form when wide: less 1, it is
+        the next step's n, whose digits are walked with no logarithm and no division."""
+        b = i + 2
+        if type(n) is not Form and n < 0:
+            raise ValueError(f"cannot base-change {n}")
+        up = _phi_value(None, b, b + 1, n if type(n) is Form else self.budget.check(n), self.budget, b, [])
+        self._held = up
+        return int(up)
 
 
 class PlusChainHierarchy(DynamicalHierarchy):

@@ -262,7 +262,7 @@ class EagerPlusHierarchy(PlusHierarchy):
     """A successor that takes each base's integer as it builds it, as before bases were held.
 
     A source event takes the deep change of pos - 1 in full, through the walk
-    with its table of powers, and rounds it up to the next multiple of c, so
+    of its integer, and rounds it up to the next multiple of c, so
     no base of it, nor of a stage built from it, is ever a Form.
     """
 

@@ -124,17 +124,27 @@ def test_a_stage_with_10k_bit_bases_prints_as_before(monkeypatch, capsys):
     top = stage.max_base
     assert top.bit_length() > 9000
     argv = ["hierarchy", "stage", "--base", ",".join(map(str, stage)), "--i", "0", "--n", str(top)]
-    texts = []
+    texts, forced = [], []
+    real_index = Form.__index__
+
+    def counted(self):
+        forced.append(self._n is None)
+        return real_index(self)
+
     for cls in (PlusHierarchy, EagerPlusHierarchy):
         with monkeypatch.context() as m:
             m.setattr(cli, "PlusHierarchy", cls)
             p = cls(list(stage), 0)
-            texts.append([repr(p.stage_at(top)), repr(p), cli_main(argv), capsys.readouterr().out])
+            texts.append([repr(p.stage_at(top)), repr(p)])
+            m.setattr(Form, "__index__", counted)
+            texts[-1] += [cli_main(argv), capsys.readouterr().out]
         if cls is PlusHierarchy:
             # the lazy repr read the new base's width from its form
             assert type(p._elems[-1]) is Form and p._elems[-1]._n is None
+            # and so did the command, which built and printed its own
+            assert forced == [], "goodstein hierarchy stage took a held base's integer"
     assert texts[0] == texts[1]
-    assert "<10001-bit integer>" in texts[0][0]
+    assert "<10001-bit integer>" in texts[0][0] and "<10001-bit integer>" in texts[0][3]
 
 
 def test_public_values_stay_plain_ints():

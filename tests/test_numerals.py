@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractal_goodstein.numerals import (
     INFINITY,
+    _LADDER_BITS,
     _LOG_BITS,
     BitBudget,
     BudgetExceededError,
@@ -101,27 +102,16 @@ def floor_log_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(floor_log_cases(), st.data())
-def test_floor_log_matches_the_naive_oracle_with_and_without_a_table(case, data):
+def test_floor_log_matches_the_naive_oracle_with_and_without_the_power_above(case, data):
     # the count-up region (L <= 64, or L <= 256 with a bound below 16 on the
-    # answer) and past it, with no table, or with a base-keyed table holding
-    # b's own power at, above or far below the answer, and powers of other bases
+    # answer) and past it, with no power above n, or with b's power one step
+    # above the answer, or a gap just inside or just past the ladder above it
     n, b = case
     e, power = naive_floor_log(n, b)
-    others = {x: (k, x**k) for x, k in ((b + 1, e), (2 * b, 3))}
-    entry = {
-        "none": None,
-        "right": (e, power),
-        "above": (e + 1, power * b),
-        "far below": (e // 3, b ** (e // 3)),
-    }[data.draw(st.sampled_from(["none", "right", "above", "far below"]))]
-    table = data.draw(st.sampled_from([None, {}, others]))
-    kept = dict(table or {})
-    if entry and table is not None:
-        table = {**table, b: entry}
-    assert _floor_log(n, b, None, table) == (e, power)
-    if table:
-        assert all(p == x**k for x, (k, p) in table.items())
-        assert {x: v for x, v in table.items() if x != b} == kept
+    limit = _LADDER_BITS // b.bit_length()
+    gap = data.draw(st.sampled_from([0, 1, 2, limit, limit + 1]))
+    above = (e + gap, b ** (e + gap)) if gap else None
+    assert _floor_log(n, b, above) == (e, power)
 
 
 def test_floor_log_at_exact_powers():

@@ -1,10 +1,10 @@
 """Deep base changes against the textbook change, and the wide powers they take.
 
 A walk derives each power from the one above it when the divisor is narrow,
-reads its first from its run's table, and, over a value of at least
-_WIDE_BITS bits, hands its first power on there.  Every change here is checked against
-tests/oracles.textbook_deep_change, which takes a fresh power for every
-monomial, with equal values or equal budget error texts.
+and a decomposition derives its first power from the power above it.  Every
+change here is checked against tests/oracles.textbook_deep_change, which
+takes a fresh power for every monomial, with equal values or equal budget
+error texts.
 """
 
 import builtins
@@ -17,8 +17,6 @@ from hypothesis import given, settings, strategies as st
 from fractal_goodstein import numerals
 from fractal_goodstein.numerals import (
     _LADDER_BITS,
-    _POWERS_CAP,
-    _WIDE_BITS,
     DEFAULT_BUDGET,
     BitBudget,
     _floor_log,
@@ -29,6 +27,8 @@ from fractal_goodstein.successors import PlusHierarchy, dynamical
 from fractal_goodstein.upgrade import UpgradeContext
 
 from oracles import outcome, textbook_deep_change
+
+WIDE_BITS = 1024  # the width from which a value or a power counts as wide here
 
 # (b, c) pairs for the plain base change: narrow and wide bases, the
 # identity, targets far enough above b that some changes die on the default
@@ -50,9 +50,9 @@ def _ladder_gaps(*bases):
 
 @st.composite
 def walks(draw, pairs):
-    """(b, c, m, budget): m mostly of _WIDE_BITS or more, in runs and gaps of exponents."""
+    """(b, c, m, budget): m mostly of WIDE_BITS or more, in runs and gaps of exponents."""
     b, c = draw(st.sampled_from(pairs))
-    bits = draw(st.integers(_WIDE_BITS, 4 * _WIDE_BITS) | st.integers(8, _WIDE_BITS))
+    bits = draw(st.integers(WIDE_BITS, 4 * WIDE_BITS) | st.integers(8, WIDE_BITS))
     top = -(-bits // (b.bit_length() - 1 or 1))
     if b * b.bit_length() <= 12_000 and draw(st.booleans()):
         top = max(top, b + draw(st.integers(0, 20)))  # exponents >= b recurse
@@ -76,28 +76,24 @@ def walks(draw, pairs):
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([2, 3, 10, 1000, 2**20 + 7]),
-    st.integers(_WIDE_BITS, 4 * _WIDE_BITS),
+    st.integers(WIDE_BITS, 4 * WIDE_BITS),
     st.data(),
 )
-def test_floor_log_from_the_table_and_the_power_above(b, bits, data):
+def test_floor_log_from_the_power_above(b, bits, data):
     n = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
     e = 0
     while b ** (e + 1) <= n:
         e += 1
-    # an exact power of b around the answer, above it too, and powers of other bases
-    k = data.draw(st.integers(max(0, e - 3), e + 3))
-    others = {x: (j, x**j) for x, j in ((b + 1, e), (2 * b, e - 1))}
-    table = {b: (k, b**k), **others}
     gap = data.draw(st.sampled_from(_ladder_gaps(b)) | st.integers(1, 4 * _LADDER_BITS))
     above = data.draw(st.sampled_from([None, (e + gap, b ** (e + gap))]))
-    with mock.patch.object(numerals, "_log2_ceil", wraps=numerals._log2_ceil) as log:
-        assert _floor_log(n, b, above, table) == (e, b**e)
-    # the entry of b is taken out whether it starts or not; the others stay
-    assert table == others
-    if k == e:
-        assert not log.called, "the answer's own power starts with no logarithm"
-    if k > e:
-        assert log.called, "a power above n cannot start"
+    with mock.patch.object(numerals, "pow", wraps=pow, create=True) as taken:
+        assert _floor_log(n, b, above) == (e, b**e)
+    # the start e0, at most 2 below e, is derived from the power above when
+    # the divisor b**(e + gap - e0) is narrow, else taken fresh
+    if above is None or gap * b.bit_length() > _LADDER_BITS:
+        assert taken.call_count == 1
+    elif (gap + 2) * b.bit_length() <= _LADDER_BITS:
+        assert taken.call_count == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,7 +162,7 @@ def wide_chain_stages():
     for i in range(200):
         v = h.upgrade_step(i, v) - 1
     stages = [h.stage(i) for i in range(201)]
-    return [s for s in stages if _WIDE_BITS <= s.max_base.bit_length() <= 2600]
+    return [s for s in stages if WIDE_BITS <= s.max_base.bit_length() <= 2600]
 
 
 def _textbook_successor(stage, budget):
@@ -187,11 +183,6 @@ def _textbook_successor(stage, budget):
     return tuple(elems), up
 
 
-def _stranger_powers():
-    """A full table of exact powers, none of them of the stage's own bases."""
-    return {b: (2 * b + 1, b ** (2 * b + 1)) for b in range(300, 300 + _POWERS_CAP)}
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_plus_stages_match_the_textbook_successor(wide_chain_stages, data):
@@ -199,10 +190,8 @@ def test_plus_stages_match_the_textbook_successor(wide_chain_stages, data):
     bits = stage.max_base.bit_length()
     budget = data.draw(st.sampled_from([DEFAULT_BUDGET, BitBudget(bits), BitBudget(bits + 16)]))
     want = outcome(lambda: _textbook_successor(stage, budget)[0])
-    table = data.draw(st.sampled_from([{}, _stranger_powers()]))
-    p = PlusHierarchy(stage, 0, budget, powers=table)
+    p = PlusHierarchy(stage, 0, budget)
     assert outcome(lambda: p.materialize().known_elements()) == want
-    assert len(table) <= _POWERS_CAP
     if isinstance(want, str):
         return
     # values above the wide base have wide digits, which are upgraded too
@@ -214,7 +203,7 @@ def test_plus_stages_match_the_textbook_successor(wide_chain_stages, data):
 
 
 def test_the_stages_of_a_wide_run_are_the_textbook_successors(wide_chain_stages):
-    # these stages were built in one run, through its table of powers
+    # these stages were built in one run
     for stage, nxt in zip(wide_chain_stages, wide_chain_stages[1:]):
         assert nxt.known_elements() == _textbook_successor(stage, DEFAULT_BUDGET)[0]
 
@@ -222,7 +211,7 @@ def test_the_stages_of_a_wide_run_are_the_textbook_successors(wide_chain_stages)
 def test_a_wide_classic_run_follows_the_textbook_change():
     result = run("classic", 17, max_steps=8, certify="none")
     values = [r.value for r in result.records]
-    assert values[-1].bit_length() > 5 * _WIDE_BITS
+    assert values[-1].bit_length() > 5 * WIDE_BITS
     for i, (v, w) in enumerate(zip(values, values[1:])):
         assert w == textbook_deep_change(None, i + 2, i + 3, v, DEFAULT_BUDGET, i + 2) - 1, i
 
@@ -239,62 +228,39 @@ def test_out_of_order_steps_give_the_values_of_a_fresh_hierarchy():
     v = 5
     for i in range(150):
         v = chain.upgrade_step(i, v) - 1
-    # its stage bases are held by their forms and take no power; the wide
-    # upgrades below put theirs in the table, and later ones may read them
     for i in (149, 146, 154, 120, 153):
         big = chain.stage(i).max_base
         n = big * rng.randrange(1, big) + rng.randrange(big)
         fresh = dynamical("plus-chain", start=[2, 6])
         assert chain.upgrade_step(i, n) == fresh.upgrade_step(i, n), i
-        assert 0 < len(chain._powers) <= _POWERS_CAP, "a wide upgrade leaves powers in the table"
-
-
-def test_only_the_first_power_of_a_wide_walk_is_handed_on():
-    # the next step's first decomposition reads only the top power, and a
-    # narrow value lifted into a wide base, as diagonal successors do, is
-    # not decomposed there again
-    table = {}
-    c = 3**700
-    assert base_change(2 * 3**2 + 1, 3, c, powers=table) == 2 * c**2 + 1
-    assert table == {}
-    # the gap from 1000**400 to 1000**200 is past the ladder, so 1001**200
-    # is taken fresh too, and it is wide
-    m = 1000**400 + 1000**200 + 7
-    assert base_change(m, 1000, 1001, powers=table) == 1001**400 + 1001**200 + 7
-    assert table == {1001: (400, 1001**400)}
-    # the next step's first decomposition starts from that entry and takes it
-    # out: its one logarithm is for the power of 1001**200, past the ladder
-    with mock.patch.object(numerals, "_log2_ceil", wraps=numerals._log2_ceil) as log:
-        got = base_change(1001**400 + 1001**200 + 6, 1001, 1002, powers=table)
-    assert got == 1002**400 + 1002**200 + 6
-    assert log.call_count == 1
-    assert table == {1002: (400, 1002**400)}
 
 
 def test_a_wide_classic_run_takes_few_wide_powers(monkeypatch):
     # classic seed 17 climbs through values of many wide monomials; taking a
     # fresh power per monomial and per decomposition took 9,564 powers of
-    # 1,024 bits or more in 25 steps
-    taken = {"decompose": 0, "budget": 0}
-    budget_pow = BitBudget.pow
+    # 1,024 bits or more in 25 steps, and 514 were taken when each step's
+    # walk decomposed the value the step before had built
+    taken = {"odd part": 0, "decompose": 0}
+    odd_part_power = numerals._power
+
+    def counting_power(base, exp):
+        p = odd_part_power(base, exp)
+        taken["odd part"] += p.bit_length() >= WIDE_BITS
+        return p
 
     def counting_pow(base, exp):
         p = builtins.pow(base, exp)
-        taken["decompose"] += p.bit_length() >= _WIDE_BITS
+        taken["decompose"] += p.bit_length() >= WIDE_BITS
         return p
 
-    def counting_budget_pow(self, base, exp):
-        p = budget_pow(self, base, exp)
-        taken["budget"] += p.bit_length() >= _WIDE_BITS
-        return p
-
+    # BitBudget.pow and Form.__index__ take their powers through _power, and
     # _floor_log takes its fresh power with the builtin pow, as this module sees it
+    monkeypatch.setattr(numerals, "_power", counting_power)
     monkeypatch.setattr(numerals, "pow", counting_pow, raising=False)
-    monkeypatch.setattr(BitBudget, "pow", counting_budget_pow)
     result = run("classic", 17, max_steps=25, certify="none")
     assert result.outcome == "step_cap"
     assert max(r.value for r in result.records).bit_length() > 100_000
-    assert taken["decompose"] > 0 and taken["budget"] > 0, "both power sites are counted"
+    assert taken["odd part"] > 0, "the power sites are counted"
     assert sum(taken.values()) < 1_000, taken
 
 
